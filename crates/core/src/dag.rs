@@ -193,19 +193,10 @@ impl DepDag {
     ///
     /// Returned sorted by id.
     pub fn ancestors(&self, t: TxnId) -> Vec<TxnId> {
-        let mut seen = vec![false; self.len()];
-        let mut stack: Vec<TxnId> = self.preds(t).to_vec();
-        let mut out = Vec::new();
-        while let Some(p) = stack.pop() {
-            if seen[p.index()] {
-                continue;
-            }
-            seen[p.index()] = true;
-            out.push(p);
-            stack.extend_from_slice(self.preds(p));
-        }
-        out.sort_unstable();
-        out
+        let mut m = self.workflow_members(t);
+        let pos = m.binary_search(&t).expect("a workflow holds its root");
+        m.remove(pos);
+        m
     }
 
     /// The full membership of the workflow rooted at `root`: `root` plus all
@@ -213,10 +204,43 @@ impl DepDag {
     /// workflow: "includes all transactions that appear in `l_i`, and
     /// recursively ...").
     pub fn workflow_members(&self, root: TxnId) -> Vec<TxnId> {
-        let mut m = self.ancestors(root);
-        let pos = m.binary_search(&root).unwrap_err();
-        m.insert(pos, root);
-        m
+        let mut out = Vec::new();
+        self.workflow_members_stamped(root, &mut vec![0; self.len()], 1, &mut out);
+        out
+    }
+
+    /// [`DepDag::workflow_members`] into `out` (cleared first), marking
+    /// visits in caller-owned `stamp` (one slot per transaction): `t` counts
+    /// as visited once `stamp[t] == mark`. A caller walking many roots
+    /// reuses one `stamp` with a fresh `mark` per root instead of zeroing
+    /// an n-sized array each time, so the walks cost O(Σ members).
+    ///
+    /// # Panics
+    /// If `stamp` is shorter than the batch or `mark` is 0 (fresh slots).
+    pub fn workflow_members_stamped(
+        &self,
+        root: TxnId,
+        stamp: &mut [u32],
+        mark: u32,
+        out: &mut Vec<TxnId>,
+    ) {
+        assert!(mark != 0, "mark 0 is every slot's unvisited value");
+        out.clear();
+        out.push(root);
+        stamp[root.index()] = mark;
+        // `out` doubles as the worklist: everything before `i` has had its
+        // predecessors pushed.
+        let mut i = 0;
+        while i < out.len() {
+            for &p in self.preds(out[i]) {
+                if stamp[p.index()] != mark {
+                    stamp[p.index()] = mark;
+                    out.push(p);
+                }
+            }
+            i += 1;
+        }
+        out.sort_unstable();
     }
 
     /// True iff `x` transitively precedes `y` (`x -> y`).

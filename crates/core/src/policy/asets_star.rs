@@ -174,9 +174,11 @@ pub struct AsetsStar {
     edf_ups: Vec<(u32, Option<u64>)>,
     ls_ups: Vec<(u32, Option<u64>)>,
     hdf_ups: Vec<(u32, Option<Reverse<Ratio>>)>,
-    /// Scratch for `select_many` (retained capacity).
+    /// Scratch for `select_many` (retained capacity), including the
+    /// trees' best-first `top_k_into` frontier.
     mf_edf: Vec<(u64, u32)>,
     mf_hdf: Vec<(Reverse<Ratio>, u32)>,
+    mf_frontier: Vec<u32>,
 }
 
 impl AsetsStar {
@@ -203,6 +205,7 @@ impl AsetsStar {
             hdf_ups: Vec::new(),
             mf_edf: Vec::new(),
             mf_hdf: Vec::new(),
+            mf_frontier: Vec::new(),
         }
     }
 
@@ -772,8 +775,10 @@ impl Scheduler for AsetsStar {
         let mut hdf_tops = std::mem::take(&mut self.mf_hdf);
         edf_tops.clear();
         hdf_tops.clear();
-        self.edf.top_k_into(slots, &mut edf_tops);
-        self.hdf.top_k_into(slots, &mut hdf_tops);
+        self.edf
+            .top_k_into(slots, &mut edf_tops, &mut self.mf_frontier);
+        self.hdf
+            .top_k_into(slots, &mut hdf_tops, &mut self.mf_frontier);
         let (mut i, mut j) = (0usize, 0usize);
         while out.len() < slots && (i < edf_tops.len() || j < hdf_tops.len()) {
             let a = edf_tops.get(i).map(|&(_, w)| WfId(w));
@@ -821,7 +826,7 @@ impl Scheduler for AsetsStar {
         // the thief's table.
         let mut tops: Vec<(u64, u32)> = Vec::new();
         self.latest_start
-            .top_k_into(self.latest_start.len(), &mut tops);
+            .top_k_into(self.latest_start.len(), &mut tops, &mut Vec::new());
         let mut picked = 0usize;
         for (_, w) in tops {
             if picked >= k {

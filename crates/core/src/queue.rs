@@ -345,28 +345,83 @@ impl<K: Ord + Copy> MinTree<K> {
 
     /// Append the `k` smallest-key present ids, in key order (ties toward
     /// the smaller id), without removing them — the tournament-tree twin of
-    /// [`KeyedQueue::top_k_into`]. The tree answers only the minimum in
-    /// O(1), so this scans the leaves and partially sorts: O(n + k log k).
-    /// It is a cold-path primitive (multi-slot fills, steal-candidate
-    /// exposure), not part of per-event index maintenance.
-    pub fn top_k_into(&self, k: usize, out: &mut Vec<(K, u32)>) {
+    /// [`KeyedQueue::top_k_into`].
+    ///
+    /// A best-first walk over subtree winners: `frontier` is a min-heap of
+    /// subtrees keyed by their winner, which partition the ids not yet
+    /// emitted. Popping a subtree emits its winner, the smallest remaining
+    /// key; the rest of that subtree splits into the siblings along the
+    /// winner's path down to its leaf, which join the frontier. That costs
+    /// O(k · log n · log(k log n)) instead of a leaf scan, so multi-slot
+    /// fills stay logarithmic. `frontier` is caller-retained scratch
+    /// (cleared here) so steady-state calls do not allocate.
+    pub fn top_k_into(&self, k: usize, out: &mut Vec<(K, u32)>, frontier: &mut Vec<u32>) {
+        frontier.clear();
         if k == 0 || self.len == 0 {
             return;
         }
-        let start = out.len();
-        out.extend(
-            self.keys
-                .iter()
-                .enumerate()
-                .filter_map(|(id, key)| key.map(|key| (key, id as u32))),
-        );
-        let present = out.len() - start;
-        let keep = k.min(present);
-        if keep < present {
-            out[start..].select_nth_unstable(keep - 1);
-            out.truncate(start + keep);
+        frontier.push(1);
+        for _ in 0..k {
+            let Some(node) = self.frontier_pop(frontier) else {
+                break;
+            };
+            let best = self.winner(node);
+            out.push(best);
+            let mut i = self.n + best.1 as usize;
+            while i != node as usize {
+                let sibling = i ^ 1;
+                if self.tree[sibling] != ABSENT {
+                    self.frontier_push(frontier, sibling as u32);
+                }
+                i >>= 1;
+            }
         }
-        out[start..].sort_unstable();
+    }
+
+    /// The (key, id) winner of a non-empty subtree.
+    #[inline]
+    fn winner(&self, node: u32) -> (K, u32) {
+        let id = self.tree[node as usize];
+        (self.keys[id as usize].expect("winner present"), id)
+    }
+
+    /// Sift `node` into the frontier heap (ordered by subtree winner).
+    fn frontier_push(&self, heap: &mut Vec<u32>, node: u32) {
+        heap.push(node);
+        let mut pos = heap.len() - 1;
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if self.winner(heap[pos]) >= self.winner(heap[parent]) {
+                break;
+            }
+            heap.swap(pos, parent);
+            pos = parent;
+        }
+    }
+
+    /// Remove the frontier subtree with the smallest winner.
+    fn frontier_pop(&self, heap: &mut Vec<u32>) -> Option<u32> {
+        let last = heap.pop()?;
+        if heap.is_empty() {
+            return Some(last);
+        }
+        let top = std::mem::replace(&mut heap[0], last);
+        let mut pos = 0;
+        loop {
+            let (l, r) = (2 * pos + 1, 2 * pos + 2);
+            let mut min = pos;
+            if l < heap.len() && self.winner(heap[l]) < self.winner(heap[min]) {
+                min = l;
+            }
+            if r < heap.len() && self.winner(heap[r]) < self.winner(heap[min]) {
+                min = r;
+            }
+            if min == pos {
+                return Some(top);
+            }
+            heap.swap(pos, min);
+            pos = min;
+        }
     }
 
     /// Drain every entry whose key is `<= bound`, in key order — the same
@@ -760,6 +815,47 @@ mod proptests {
                 }
             }
             prop_assert_eq!(bulk.drain_up_to(u64::MAX), incr.drain_up_to(u64::MAX));
+        }
+    }
+
+    /// The leaf scan `MinTree::top_k_into` replaced: collect every present
+    /// (key, id), keep the `k` smallest, sort.
+    fn scan_top_k(t: &MinTree<u64>, cap: usize, k: usize) -> Vec<(u64, u32)> {
+        let mut all: Vec<(u64, u32)> = (0..cap as u32)
+            .filter_map(|id| t.key_of(id).map(|key| (key, id)))
+            .collect();
+        all.sort_unstable();
+        all.truncate(k);
+        all
+    }
+
+    proptest! {
+        /// The best-first walk returns exactly the scan-and-sort answer —
+        /// same entries, same (key, id) order — for every k up to past the
+        /// population, after arbitrary set/clear sequences (duplicate keys
+        /// included, so the id tie-break is exercised).
+        #[test]
+        fn top_k_walk_matches_scan_and_sort(
+            cap in 1usize..40,
+            ops in proptest::collection::vec((0u32..40, 0u8..4, 0u64..12), 0..120),
+        ) {
+            let mut t: MinTree<u64> = MinTree::new(cap);
+            let mut out = Vec::new();
+            let mut frontier = Vec::new();
+            for (id, flag, key) in ops {
+                if (id as usize) >= cap {
+                    continue;
+                }
+                // flag 0 = clear; the shim has no `option::of` strategy.
+                t.set(id, (flag != 0).then_some(key));
+                for k in 0..=t.len() + 1 {
+                    out.clear();
+                    out.push((u64::MAX, u32::MAX)); // appends, never clears
+                    t.top_k_into(k, &mut out, &mut frontier);
+                    prop_assert_eq!(out[0], (u64::MAX, u32::MAX));
+                    prop_assert_eq!(&out[1..], &scan_top_k(&t, cap, k)[..]);
+                }
+            }
         }
     }
 

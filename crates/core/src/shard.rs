@@ -196,20 +196,29 @@ pub struct ComponentMove {
 /// `2·work ≤ load[owner] − load[target]`, so every applied move strictly
 /// reduces the owner/target gap and never overshoots — the plan cannot
 /// oscillate across epochs. Each component is considered exactly once.
+///
+/// An applied move never widens the max−min spread: the owner drops by
+/// `work` yet stays at or above the target, which rises from the minimum by
+/// `work`. Every later gap is therefore bounded by the initial spread, so a
+/// candidate with `2·work` above it can never move and is dropped before
+/// the sort — the plan is unchanged, and a balanced boundary with many
+/// future components costs one linear filter instead of a sort.
 pub fn plan_rebalance(loads: &[u64], movable: &[MovableComponent]) -> Vec<ComponentMove> {
     let k = loads.len();
     if k < 2 {
         return Vec::new();
     }
     let mut load = loads.to_vec();
-    let mut order: Vec<MovableComponent> = movable.to_vec();
+    let spread = load.iter().max().expect("k >= 2") - load.iter().min().expect("k >= 2");
+    let mut order: Vec<MovableComponent> = movable
+        .iter()
+        .filter(|m| m.work > 0 && 2 * m.work <= spread)
+        .copied()
+        .collect();
     order.sort_by_key(|m| (std::cmp::Reverse(m.work), m.key));
     let mut moves = Vec::new();
     for m in order {
         debug_assert!((m.owner as usize) < k, "owner shard out of range");
-        if m.work == 0 {
-            continue;
-        }
         let target = (0..k).min_by_key(|&s| (load[s], s)).expect("k >= 2") as u32;
         if target == m.owner {
             continue;
@@ -234,6 +243,7 @@ mod tests {
     use super::*;
     use crate::time::{SimDuration, SimTime};
     use crate::txn::Weight;
+    use proptest::prelude::*;
 
     fn ind(arr: u64) -> TxnSpec {
         TxnSpec::independent(
@@ -409,5 +419,60 @@ mod tests {
     #[test]
     fn rebalance_skips_zero_work_components() {
         assert!(plan_rebalance(&[10, 0], &[mov(0, 0, 0)]).is_empty());
+    }
+
+    /// The greedy without the spread filter: every candidate sorted and
+    /// offered the gap test.
+    fn unfiltered_plan(loads: &[u64], movable: &[MovableComponent]) -> Vec<ComponentMove> {
+        let k = loads.len();
+        if k < 2 {
+            return Vec::new();
+        }
+        let mut load = loads.to_vec();
+        let mut order = movable.to_vec();
+        order.sort_by_key(|m| (std::cmp::Reverse(m.work), m.key));
+        let mut moves = Vec::new();
+        for m in order {
+            if m.work == 0 {
+                continue;
+            }
+            let target = (0..k).min_by_key(|&s| (load[s], s)).expect("k >= 2") as u32;
+            if target == m.owner {
+                continue;
+            }
+            if 2 * m.work <= load[m.owner as usize] - load[target as usize] {
+                load[m.owner as usize] -= m.work;
+                load[target as usize] += m.work;
+                moves.push(ComponentMove {
+                    key: m.key,
+                    from: m.owner,
+                    to: target,
+                    work: m.work,
+                });
+            }
+        }
+        moves
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Dropping candidates wider than the spread never changes the plan.
+        #[test]
+        fn spread_filter_keeps_the_greedy_plan(
+            loads in proptest::collection::vec(0u64..400, 1..6),
+            comps in proptest::collection::vec((0u32..8, 0u64..120), 0..40),
+        ) {
+            let k = loads.len() as u32;
+            let movable: Vec<MovableComponent> = comps
+                .iter()
+                .enumerate()
+                .map(|(i, &(owner, work))| mov(i as u32, owner % k, work))
+                .collect();
+            prop_assert_eq!(
+                plan_rebalance(&loads, &movable),
+                unfiltered_plan(&loads, &movable)
+            );
+        }
     }
 }

@@ -30,6 +30,8 @@ pub struct TxnTable {
     dag: Arc<DepDag>,
     completed: usize,
     ready: usize,
+    /// Σ remaining ticks over every transaction (completed ones hold 0).
+    remaining_ticks: u64,
 }
 
 impl TxnTable {
@@ -37,12 +39,14 @@ impl TxnTable {
     pub fn new(specs: Vec<TxnSpec>) -> Result<TxnTable, DagError> {
         let dag = DepDag::build(&specs)?;
         let states = specs.iter().map(TxnState::new).collect();
+        let remaining_ticks = specs.iter().map(|s| s.length.ticks()).sum();
         Ok(TxnTable {
             specs: Arc::new(specs),
             states,
             dag: Arc::new(dag),
             completed: 0,
             ready: 0,
+            remaining_ticks,
         })
     }
 
@@ -71,6 +75,14 @@ impl TxnTable {
     #[inline]
     pub fn ready_count(&self) -> usize {
         self.ready
+    }
+
+    /// Σ remaining ticks over the whole batch — an O(1) gauge kept by
+    /// [`TxnTable::accrue_service`], the only place remaining time changes.
+    /// The threaded sharded driver derives each shard's backlog from it.
+    #[inline]
+    pub fn remaining_ticks(&self) -> u64 {
+        self.remaining_ticks
     }
 
     /// True iff every transaction has completed.
@@ -254,6 +266,7 @@ impl TxnTable {
         );
         st.remaining -= served;
         st.service += served;
+        self.remaining_ticks -= served.ticks();
         st.remaining
     }
 
@@ -502,6 +515,21 @@ mod tests {
         tbl.arrive(TxnId(0), at(0));
         tbl.start_running(TxnId(0));
         tbl.complete(TxnId(0), at(1), units(1)); // only 1 of 2 served
+    }
+
+    #[test]
+    fn remaining_ticks_tracks_service() {
+        let mut tbl = chain3();
+        assert_eq!(tbl.remaining_ticks(), units(9).ticks());
+        tbl.arrive(TxnId(0), at(0));
+        tbl.start_running(TxnId(0));
+        tbl.preempt(TxnId(0), units(1));
+        assert_eq!(tbl.remaining_ticks(), units(8).ticks());
+        tbl.start_running(TxnId(0));
+        tbl.complete(TxnId(0), at(2), units(1));
+        let scan: u64 = tbl.ids().map(|t| tbl.remaining(t).ticks()).sum();
+        assert_eq!(tbl.remaining_ticks(), scan);
+        assert_eq!(scan, units(7).ticks());
     }
 
     #[test]

@@ -106,13 +106,18 @@ impl WorkflowSet {
     /// Extract one workflow per DAG root. Every transaction belongs to at
     /// least one workflow (follow successors upward from any transaction and
     /// you must reach a root, since the graph is a finite DAG).
+    ///
+    /// One visit-stamp array serves every root's walk, so the build costs
+    /// O(Σ members), not O(roots × n).
     pub fn build(table: &TxnTable) -> WorkflowSet {
         let dag = table.dag();
         let roots: Vec<TxnId> = dag.roots().to_vec();
         let mut members = Vec::with_capacity(roots.len());
         let mut of_txn: Vec<Vec<WfId>> = vec![Vec::new(); table.len()];
+        let mut stamp = vec![0u32; table.len()];
         for (w, &root) in roots.iter().enumerate() {
-            let m = dag.workflow_members(root);
+            let mut m = Vec::new();
+            dag.workflow_members_stamped(root, &mut stamp, w as u32 + 1, &mut m);
             for &t in &m {
                 of_txn[t.index()].push(WfId(w as u32));
             }
@@ -1103,6 +1108,33 @@ mod proptests {
                 wfs.representative(w, tbl),
                 "representative of {w} diverged"
             );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        /// The stamped build collects exactly each root's
+        /// [`DepDag::workflow_members`] (sorted by id), and every
+        /// transaction's workflow list ascends.
+        ///
+        /// [`DepDag::workflow_members`]: crate::dag::DepDag::workflow_members
+        #[test]
+        fn build_matches_per_root_workflow_members(specs in batch_strategy(40)) {
+            let tbl = TxnTable::new(specs).expect("acyclic by construction");
+            let wfs = WorkflowSet::build(&tbl);
+            let dag = tbl.dag();
+            prop_assert_eq!(wfs.len(), dag.roots().len());
+            let mut of_txn: Vec<Vec<WfId>> = vec![Vec::new(); tbl.len()];
+            for w in wfs.ids() {
+                prop_assert_eq!(wfs.root(w), dag.roots()[w.index()]);
+                prop_assert_eq!(wfs.members(w), &dag.workflow_members(wfs.root(w))[..]);
+                for &t in wfs.members(w) {
+                    of_txn[t.index()].push(w);
+                }
+            }
+            for t in tbl.ids() {
+                prop_assert_eq!(wfs.workflows_of(t), &of_txn[t.index()][..]);
+            }
         }
     }
 

@@ -20,14 +20,14 @@
 //!    the *next* boundary; see below),
 //! 2. **runs** its engine up to (not including) the horizon,
 //! 3. **posts** one steal request if it ended the window idle,
-//! 4. **reports** load / backlog / movable components and waits (`#1`),
+//! 4. **reports** load / backlog / next point and waits (`#1`),
 //! 5. shard 0 — the deterministic **leader** — takes all reports, plans
 //!    migrations with [`plan_rebalance`] (greedy largest-work-first under
-//!    the `2·work ≤ gap` rule), picks the next boundary, and publishes the
-//!    plan (`#2`),
-//! 6. **executes** its slice of the plan — extracting calendar entries for
-//!    components it sends away and pushing them to the destination's ring —
-//!    and waits (`#3`),
+//!    the `2·work ≤ gap` rule) over its own index of movable components,
+//!    picks the next boundary, and publishes the plan (`#2`),
+//! 6. **executes** its slice of the plan — extracting, in one calendar
+//!    pass, the entries of every component it sends away and pushing each
+//!    to its destination's ring — and waits (`#3`),
 //! 7. **drains** its inboxes: migrated arrivals and steal grants join the
 //!    calendar, requests are buffered for the next answer phase, acks
 //!    release the thief to ask again. Rings are parity-paired —
@@ -73,6 +73,19 @@
 //! The coordinated loop remains the semantic oracle: same ownership
 //! invariants (whole components migrate only while fully unarrived; only
 //! ready never-served singletons are stolen), same planner, same merge.
+//!
+//! ## Boundaries cost O(changes)
+//!
+//! A boundary never rescans live work. A shard's load is its table's
+//! [`TxnTable::remaining_ticks`] gauge minus the full length of every
+//! transaction it does not own — exact, because a non-owned transaction is
+//! always `Pending` at full length in that shard's table (never arrived
+//! there, migrated away unarrived, or retracted unserved by a steal). The
+//! worker adjusts that foreign sum on each migration and steal. Movable
+//! components live in the leader's [`MovableIndex`], ordered by earliest
+//! arrival so the advancing horizon retires them with a cursor; since steals
+//! only take already-arrived singletons, migrations are the only ownership
+//! change the index must follow, and the leader applies those itself.
 
 use crate::engine::{Engine, SimResult, SpecPump};
 use crate::sharded::{
@@ -85,7 +98,7 @@ use asets_core::policy::{PolicyKind, Scheduler};
 use asets_core::shard::{partition, plan_rebalance, routing_keys, ComponentMove, MovableComponent};
 use asets_core::table::TxnTable;
 use asets_core::time::{SimDuration, SimTime};
-use asets_core::txn::TxnId;
+use asets_core::txn::{TxnId, TxnSpec};
 use std::cell::{RefCell, UnsafeCell};
 use std::collections::BTreeMap;
 use std::mem::MaybeUninit;
@@ -218,7 +231,8 @@ struct PendingReq {
 
 /// One shard's boundary snapshot, published before barrier `#1`.
 struct Report {
-    /// Remaining work of owned, uncompleted transactions (ticks).
+    /// Remaining work of owned, uncompleted transactions (ticks), read
+    /// from the O(1) gauge.
     load: u64,
     /// Ready transactions waiting for a server.
     waiting: usize,
@@ -228,8 +242,6 @@ struct Report {
     completed: usize,
     /// The engine's next scheduling point at or beyond the boundary.
     next_point: Option<SimTime>,
-    /// Fully-unarrived owned components, eligible for migration.
-    movable: Vec<MovableComponent>,
     /// True iff this shard posted a steal request this window.
     posted: bool,
     /// Steal requests answered at this window's answer phase.
@@ -254,15 +266,75 @@ struct Plan {
     moves: Vec<ComponentMove>,
 }
 
-/// Static facts about one component, precomputed once in
-/// [`ShardedRuntime::run_threaded`]: migration eligibility and planning
-/// weight are functions of the specs alone, never of runtime state.
-struct CompInfo {
-    /// Earliest member arrival. The component is fully unarrived — hence
-    /// movable — exactly while `min_arrival > horizon`.
-    min_arrival: SimTime,
-    /// Total member length in ticks (the planner's weight).
-    work: u64,
+/// The leader's migration candidates: every component ordered by earliest
+/// member arrival, with its planning weight and current owner.
+///
+/// Under restricted arrivals a component is fully unarrived — hence
+/// movable — exactly while its earliest arrival lies beyond the horizon,
+/// and the horizon only grows, so a cursor retires components for good.
+/// Owners change only through the leader's own applied moves: a steal
+/// takes a ready singleton, which the cursor retired a round earlier.
+struct MovableIndex {
+    /// Earliest member arrival of `comps[i]`, ascending.
+    min_arrival: Vec<SimTime>,
+    /// Components by earliest arrival (ties by key); `work` is the total
+    /// member length, a function of the specs alone.
+    comps: Vec<MovableComponent>,
+    /// `comps[..cursor]` have an arrival at or before the last boundary.
+    cursor: usize,
+    /// Position in `comps`, indexed by routing key (transaction id).
+    pos: Vec<u32>,
+}
+
+impl MovableIndex {
+    fn new(
+        comp_members: &BTreeMap<u32, Vec<TxnId>>,
+        specs: &[TxnSpec],
+        shard_of: &[u32],
+    ) -> MovableIndex {
+        let mut order: Vec<(SimTime, MovableComponent)> = comp_members
+            .iter()
+            .map(|(&key, members)| {
+                let min_arrival = members
+                    .iter()
+                    .map(|&m| specs[m.index()].arrival)
+                    .min()
+                    .expect("components are non-empty");
+                let work = members
+                    .iter()
+                    .map(|&m| specs[m.index()].length.ticks())
+                    .sum();
+                let owner = shard_of[key as usize];
+                (min_arrival, MovableComponent { key, owner, work })
+            })
+            .collect();
+        // Stable over key order: ties stay by key.
+        order.sort_by_key(|&(at, _)| at);
+        let (min_arrival, comps): (Vec<SimTime>, Vec<MovableComponent>) = order.into_iter().unzip();
+        let mut pos = vec![u32::MAX; specs.len()];
+        for (i, c) in comps.iter().enumerate() {
+            pos[c.key as usize] = i as u32;
+        }
+        MovableIndex {
+            min_arrival,
+            comps,
+            cursor: 0,
+            pos,
+        }
+    }
+
+    /// The components still fully unarrived at `boundary`.
+    fn movable(&mut self, boundary: SimTime) -> &[MovableComponent] {
+        while self.cursor < self.comps.len() && self.min_arrival[self.cursor] <= boundary {
+            self.cursor += 1;
+        }
+        &self.comps[self.cursor..]
+    }
+
+    /// Record an applied migration.
+    fn moved(&mut self, mv: &ComponentMove) {
+        self.comps[self.pos[mv.key as usize] as usize].owner = mv.to;
+    }
 }
 
 /// Read-only protocol state borrowed into every worker thread.
@@ -283,8 +355,6 @@ struct Shared<'a> {
     plan_slot: &'a Mutex<Option<Plan>>,
     /// Component membership by routing key, members ascending.
     comp_members: &'a BTreeMap<u32, Vec<TxnId>>,
-    /// Per-component static facts, same keys as `comp_members`.
-    comp_info: &'a BTreeMap<u32, CompInfo>,
     /// Routing key of every transaction.
     keys: &'a [u32],
     /// The initial (static) partition; arrival restriction baseline.
@@ -322,21 +392,6 @@ impl<P: SpecPump> ShardedRuntime<P> {
         for (i, &key) in keys.iter().enumerate() {
             comp_members.entry(key).or_default().push(TxnId(i as u32));
         }
-        let comp_info: BTreeMap<u32, CompInfo> = comp_members
-            .iter()
-            .map(|(&key, members)| {
-                let min_arrival = members
-                    .iter()
-                    .map(|&m| self.specs[m.index()].arrival)
-                    .min()
-                    .expect("components are non-empty");
-                let work = members
-                    .iter()
-                    .map(|&m| self.specs[m.index()].length.ticks())
-                    .sum();
-                (key, CompInfo { min_arrival, work })
-            })
-            .collect();
 
         let chans: [Vec<Vec<Chan<Msg>>>; 2] = std::array::from_fn(|_| {
             (0..k)
@@ -357,7 +412,6 @@ impl<P: SpecPump> ShardedRuntime<P> {
             reports: &reports,
             plan_slot: &plan_slot,
             comp_members: &comp_members,
-            comp_info: &comp_info,
             keys: &keys,
             shard_of: &shard_of,
         };
@@ -460,6 +514,9 @@ fn run_worker<P: SpecPump, O: Observer + 'static>(
 ) -> (SimResult, O, RebalanceStats) {
     let obs = make(&table);
     let policy = kind.build(&table);
+    // Shard 0 leads, so it alone keeps the movable index.
+    let mut index =
+        (s == 0).then(|| MovableIndex::new(shared.comp_members, table.specs(), shared.shard_of));
     let pump = P::from_specs(table.specs());
     let mut engine: Engine<Box<dyn Scheduler>, P> =
         Engine::from_table(table, policy, pump).with_servers(knobs.servers);
@@ -483,31 +540,23 @@ fn run_worker<P: SpecPump, O: Observer + 'static>(
     }
     engine.restrict_arrivals(|t| shared.shard_of[t.index()] == s as u32);
 
-    // Evolving ownership, this shard's view: authoritative for everything
-    // it reports (loads scan only owned ids). Migration updates come from
-    // the plan (all shards see them); steal updates from the grant (victim
-    // clears at grant, thief sets at drain) — the one-round gap where a
-    // granted transaction is in neither load is harmless, because a stolen
+    // Evolving ownership, this shard's view: the ground truth the load
+    // gauge is checked against. Migration updates come from the plan (all
+    // shards see them); steal updates from the grant (victim clears at
+    // grant, thief sets at drain) — the one-round gap where a granted
+    // transaction is in neither load is harmless, because a stolen
     // singleton has an in-past arrival and can never look movable.
     let mut owned: Vec<bool> = shared.shard_of.iter().map(|&o| o == s as u32).collect();
-    // Owned components still plausibly movable, ascending by key (the
-    // report order the leader expects). Compacted permanently once the
-    // horizon passes a component's earliest arrival — the horizon is
-    // monotone, so eligibility never comes back — or on loss of ownership;
-    // migration gains re-insert in key order.
-    let mut owned_comps: Vec<u32> = shared
-        .comp_members
-        .keys()
-        .copied()
-        .filter(|&key| owned[key as usize])
-        .collect();
-    // Owned, uncompleted transactions — the load scan's working set,
-    // compacted in place as transactions finish so a round's report costs
-    // O(alive), not O(n).
-    let mut owned_alive: Vec<TxnId> = (0..shared.n as u32)
-        .map(TxnId)
-        .filter(|t| owned[t.index()])
-        .collect();
+    // Σ full length of the transactions this shard does not own, moved in
+    // step with `owned`: the load gauge is the table's remaining sum minus
+    // this (see the module docs for why that is exact).
+    let mut foreign: u64 = {
+        let specs = engine.table().specs();
+        (0..shared.n)
+            .filter(|&i| !owned[i])
+            .map(|i| specs[i].length.ticks())
+            .sum()
+    };
     let steal = shared.cfg.steal;
     let mut stats = RebalanceStats::default();
     let mut horizon = SimTime::ZERO + shared.epoch;
@@ -518,6 +567,13 @@ fn run_worker<P: SpecPump, O: Observer + 'static>(
     let mut req_buf: Vec<PendingReq> = Vec::new();
     let mut candidates: Vec<TxnId> = Vec::new();
     let mut entries: Vec<(SimTime, TxnId)> = Vec::new();
+    // The first round whose load gauge disagreed with the scan, if any:
+    // (round, gauge, scan). Test and debug builds only.
+    let mut drift: Option<(u64, u64, u64)> = None;
+    // Members leaving this shard at a boundary, and each outbound
+    // component's destination by routing key.
+    let mut outbound: Vec<TxnId> = Vec::new();
+    let mut routes: Vec<(u32, u32)> = Vec::new();
 
     loop {
         // This round's ring set: everything pushed in round E is drained in
@@ -551,6 +607,7 @@ fn run_worker<P: SpecPump, O: Observer + 'static>(
                     debug_assert!(owned[c.index()], "ready candidates are owned");
                     engine.retract_stolen(c, now);
                     owned[c.index()] = false;
+                    foreign += engine.table().spec(c).length.ticks();
                     let sent = shared.chans[par][s][req.from as usize].push(Msg::Grant {
                         effect: horizon,
                         txn: c,
@@ -600,43 +657,26 @@ fn run_worker<P: SpecPump, O: Observer + 'static>(
             }
         }
 
-        // Report phase: boundary snapshot for the leader. Both scans
-        // compact their working set as they go, so steady-state rounds cost
-        // O(live work), not O(n).
-        let report = {
-            let table = engine.table();
-            let mut load = 0u64;
-            owned_alive.retain(|&id| {
-                if !owned[id.index()] || table.state(id).is_completed() {
-                    return false;
-                }
-                load += table.remaining(id).ticks();
-                true
-            });
-            // A component is movable iff fully unarrived: under restricted
-            // arrivals every member with `arrival > horizon` is still
-            // `Pending`, so the static `min_arrival` test is exact.
-            let mut movable = Vec::new();
-            owned_comps.retain(|&key| {
-                if !owned[key as usize] || shared.comp_info[&key].min_arrival <= horizon {
-                    return false;
-                }
-                movable.push(MovableComponent {
-                    key,
-                    owner: s as u32,
-                    work: shared.comp_info[&key].work,
-                });
-                true
-            });
-            Report {
-                load,
-                waiting: engine.waiting_ready(),
-                completed: engine.completed(),
-                next_point,
-                movable,
-                posted,
-                answered,
+        // Report phase: boundary snapshot for the leader, O(1). While the
+        // accounting is exact `foreign` never exceeds the table's remaining
+        // sum, so the subtraction never saturates; test builds check the
+        // gauge against the scan every round and fail once the run is over,
+        // because a shard panicking mid-protocol would strand its peers at
+        // the barrier.
+        let load = engine.table().remaining_ticks().saturating_sub(foreign);
+        if cfg!(any(test, debug_assertions)) && drift.is_none() {
+            let scanned = scanned_load(engine.table(), &owned);
+            if load != scanned {
+                drift = Some((epoch_idx, load, scanned));
             }
+        }
+        let report = Report {
+            load,
+            waiting: engine.waiting_ready(),
+            completed: engine.completed(),
+            next_point,
+            posted,
+            answered,
         };
         *shared.reports[s].lock().unwrap() = Some(report);
         shared.barrier.wait(); // #1: all reports published
@@ -647,7 +687,8 @@ fn run_worker<P: SpecPump, O: Observer + 'static>(
                 .iter()
                 .map(|slot| slot.lock().unwrap().take().expect("every shard reported"))
                 .collect();
-            let plan = leader_plan(&reps, horizon, shared, &mut stats);
+            let index = index.as_mut().expect("the leader owns the movable index");
+            let plan = leader_plan(&reps, horizon, shared, index, &mut stats);
             *shared.plan_slot.lock().unwrap() = Some(plan);
         }
         shared.barrier.wait(); // #2: plan published
@@ -668,37 +709,49 @@ fn run_worker<P: SpecPump, O: Observer + 'static>(
         }
 
         // Execute phase: this shard's slice of the migration plan. Every
-        // shard applies the ownership updates that involve it; sources
-        // additionally extract the calendar entries and ship them.
+        // shard applies the ownership updates that involve it; a source
+        // additionally extracts every outbound calendar entry in one pass
+        // and ships each to its component's destination. The receiver's
+        // admit re-sorts its calendar, so ring order is immaterial.
+        outbound.clear();
+        routes.clear();
         for mv in &plan.moves {
             let members = &shared.comp_members[&mv.key];
             if mv.from == s as u32 {
-                entries.clear();
-                engine.extract_arrivals(members, &mut entries);
-                debug_assert_eq!(
-                    entries.len(),
-                    members.len(),
-                    "movable components are fully unarrived"
-                );
-                for &(at, txn) in &entries {
-                    let sent = shared.chans[par][s][mv.to as usize].push(Msg::Arrival { at, txn });
-                    assert!(
-                        sent,
-                        "migration payload overflowed the ring (planner budget)"
-                    );
-                }
+                outbound.extend_from_slice(members);
+                routes.push((mv.key, mv.to));
+                foreign += mv.work;
                 for &m in members {
                     owned[m.index()] = false;
                 }
             } else if mv.to == s as u32 {
+                foreign -= mv.work;
                 for &m in members {
                     owned[m.index()] = true;
                 }
-                owned_alive.extend_from_slice(members);
-                // Keep the movable working set sorted by key so reports
-                // list components in the same order every run.
-                let pos = owned_comps.partition_point(|&key| key < mv.key);
-                owned_comps.insert(pos, mv.key);
+            }
+        }
+        if !outbound.is_empty() {
+            outbound.sort_unstable();
+            routes.sort_unstable();
+            entries.clear();
+            engine.extract_arrivals(&outbound, &mut entries);
+            debug_assert_eq!(
+                entries.len(),
+                outbound.len(),
+                "movable components are fully unarrived"
+            );
+            for &(at, txn) in &entries {
+                let key = shared.keys[txn.index()];
+                let route = routes
+                    .binary_search_by_key(&key, |&(k, _)| k)
+                    .expect("extracted members belong to an outbound component");
+                let sent =
+                    shared.chans[par][s][routes[route].1 as usize].push(Msg::Arrival { at, txn });
+                assert!(
+                    sent,
+                    "migration payload overflowed the ring (planner budget)"
+                );
             }
         }
         shared.barrier.wait(); // #3: all boundary sends complete
@@ -715,10 +768,10 @@ fn run_worker<P: SpecPump, O: Observer + 'static>(
                 match msg {
                     Msg::Arrival { at, txn } => entries.push((at, txn)),
                     Msg::Grant { effect, txn } => {
-                        owned[txn.index()] = true;
                         // A stolen singleton's arrival is in the past, so it
                         // joins the load but never the movable set.
-                        owned_alive.push(txn);
+                        owned[txn.index()] = true;
+                        foreign -= engine.table().spec(txn).length.ticks();
                         entries.push((effect, txn));
                     }
                     Msg::Request { epoch, want, at } => req_buf.push(PendingReq {
@@ -745,6 +798,10 @@ fn run_worker<P: SpecPump, O: Observer + 'static>(
         horizon = plan.next_boundary;
         epoch_idx += 1;
     }
+    assert!(
+        drift.is_none(),
+        "load gauge drifted from the remaining-work scan on shard {s}: (round, gauge, scan) = {drift:?}"
+    );
 
     let result = engine.finish();
     let obs = match shared_obs {
@@ -754,6 +811,17 @@ fn run_worker<P: SpecPump, O: Observer + 'static>(
         None => kept.expect("unattached observer kept locally"),
     };
     (result, obs, stats)
+}
+
+/// The load gauge's definition by brute force: remaining work of the owned
+/// transactions (completed ones hold zero). Test and debug builds check the
+/// O(1) gauge against it every round.
+fn scanned_load(table: &TxnTable, owned: &[bool]) -> u64 {
+    table
+        .ids()
+        .filter(|t| owned[t.index()])
+        .map(|t| table.remaining(t).ticks())
+        .sum()
 }
 
 /// Deepest waiting backlog among the other shards, ties toward the lower
@@ -772,6 +840,7 @@ fn leader_plan(
     reports: &[Report],
     boundary: SimTime,
     shared: &Shared<'_>,
+    index: &mut MovableIndex,
     stats: &mut RebalanceStats,
 ) -> Plan {
     stats.barriers += 1;
@@ -789,11 +858,7 @@ fn leader_plan(
     }
 
     let loads: Vec<u64> = reports.iter().map(|r| r.load).collect();
-    let movable: Vec<MovableComponent> = reports
-        .iter()
-        .flat_map(|r| r.movable.iter().copied())
-        .collect();
-    let planned = plan_rebalance(&loads, &movable);
+    let planned = plan_rebalance(&loads, index.movable(boundary));
     // Flow control: a component's calendar entries must fit the channel
     // alongside this round's steal traffic. Dropped moves are replanned at
     // the next boundary from fresh loads.
@@ -812,6 +877,7 @@ fn leader_plan(
         stats.migration_rounds += 1;
     }
     for mv in &moves {
+        index.moved(mv);
         let members = &shared.comp_members[&mv.key];
         stats.migrated_components += 1;
         stats.migrated_txns += members.len() as u64;
@@ -1022,6 +1088,43 @@ mod tests {
             }
         }
         assert_eq!(steals as u64, reb.steals);
+    }
+
+    #[test]
+    fn load_gauge_matches_the_remaining_scan_every_round() {
+        // The report phase asserts gauge == `scanned_load` on every round
+        // in test builds; these runs make sure both of its moving parts —
+        // migrations and steals — fire along the way.
+        let mut specs = skewed_specs();
+        for i in 0..12u64 {
+            specs.push(ind(6 + 3 * i, 60 + 3 * i, 8));
+        }
+        let chain = specs.len() as u32;
+        specs.push(ind(30, 200, 2));
+        for i in 1..6u32 {
+            specs.push(dep(30, 200, 2, &[chain + i - 1]));
+        }
+        let (mut steals, mut migrated) = (0, 0);
+        for k in 2..5 {
+            for epoch in [3, 5, 7] {
+                let cfg = RebalanceConfig::migrate_every(units(epoch)).with_steal(2);
+                let r = ShardedRuntime::new(
+                    specs.clone(),
+                    asets_core::policy::PolicyKind::asets_star(),
+                )
+                .shards(k)
+                .rebalance(cfg)
+                .threaded()
+                .run()
+                .unwrap();
+                assert_eq!(r.merged.stats.completed, specs.len() as u64);
+                let reb = r.rebalance.unwrap();
+                steals += reb.steals;
+                migrated += reb.migrated_txns;
+            }
+        }
+        assert!(steals > 0, "no run stole");
+        assert!(migrated > 0, "no run migrated");
     }
 
     #[test]

@@ -401,3 +401,72 @@ proptest! {
         }
     }
 }
+
+/// A Zipf-skewed web batch — hot pages as huge-but-light stars, cold pages
+/// as heavy singletons — of random size, skew and seed, with its epoch.
+///
+/// The coordinated loop plans a boundary at its first scheduling point at
+/// or after it and moves only components arriving strictly after *that
+/// point*; the threaded leader plans at the boundary instant and moves
+/// components arriving strictly after *it*. The two views coincide when
+/// the boundary is itself a scheduling point, so every epoch boundary the
+/// batch's arrivals leave empty gets a unit-length singleton arriving
+/// there. Without it a component arriving at the first point after an
+/// empty boundary is movable to the threaded leader only.
+fn skewed_strategy() -> impl Strategy<Value = (Vec<TxnSpec>, u64)> {
+    (60usize..400, 4u64..17, 0usize..4, any::<u64>(), 5u64..60).prop_map(
+        |(n, pages, a, seed, epoch)| {
+            let mut specs = asets_workload::skewed_shards(n, pages, [0.0, 1.0, 1.5, 2.0][a], seed);
+            let last = specs
+                .iter()
+                .map(|s| s.arrival)
+                .max()
+                .expect("non-empty batch");
+            let mut boundary = SimTime::from_units_int(epoch);
+            while boundary <= last {
+                if !specs.iter().any(|s| s.arrival == boundary) {
+                    specs.push(TxnSpec::independent(
+                        boundary,
+                        boundary + SimDuration::from_units_int(10),
+                        SimDuration::from_units_int(1),
+                        Weight::ONE,
+                    ));
+                }
+                boundary += SimDuration::from_units_int(epoch);
+            }
+            (specs, epoch)
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The coordinated loop is the threaded driver's oracle: with stealing
+    /// off, a threaded run plans the same migrations at the same
+    /// boundaries, so outcomes, run statistics and migration counters
+    /// match the coordinated run exactly.
+    #[test]
+    fn threaded_migration_matches_the_coordinated_oracle(
+        batch in skewed_strategy(),
+        k in 2usize..5,
+    ) {
+        let (specs, epoch) = batch;
+        let cfg = RebalanceConfig::migrate_every(SimDuration::from_units_int(epoch));
+        let run = |threaded: bool| {
+            let rt = ShardedRuntime::new(specs.clone(), PolicyKind::asets_star())
+                .shards(k)
+                .rebalance(cfg);
+            let rt = if threaded { rt.threaded() } else { rt };
+            rt.run().expect("acyclic")
+        };
+        let (coordinated, threaded) = (run(false), run(true));
+        prop_assert_eq!(&threaded.merged.outcomes, &coordinated.merged.outcomes);
+        prop_assert_eq!(&threaded.merged.stats, &coordinated.merged.stats);
+        let counters = |r: &asets_sim::ShardedResult| {
+            let s = r.rebalance.as_ref().expect("rebalanced run");
+            (s.migration_rounds, s.migrated_components, s.migrated_txns, s.migrated_work)
+        };
+        prop_assert_eq!(counters(&threaded), counters(&coordinated));
+    }
+}
