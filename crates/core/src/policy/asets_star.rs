@@ -174,11 +174,12 @@ pub struct AsetsStar {
     edf_ups: Vec<(u32, Option<u64>)>,
     ls_ups: Vec<(u32, Option<u64>)>,
     hdf_ups: Vec<(u32, Option<Reverse<Ratio>>)>,
-    /// Scratch for `select_many` (retained capacity), including the
-    /// trees' best-first `top_k_into` frontier.
+    /// Scratch for `select_many` (retained capacity), including each
+    /// tree's best-first `top_k_into` frontier.
     mf_edf: Vec<(u64, u32)>,
     mf_hdf: Vec<(Reverse<Ratio>, u32)>,
-    mf_frontier: Vec<u32>,
+    mf_edf_frontier: Vec<Reverse<(u64, u32, u32)>>,
+    mf_hdf_frontier: Vec<Reverse<(Reverse<Ratio>, u32, u32)>>,
 }
 
 impl AsetsStar {
@@ -205,7 +206,8 @@ impl AsetsStar {
             hdf_ups: Vec::new(),
             mf_edf: Vec::new(),
             mf_hdf: Vec::new(),
-            mf_frontier: Vec::new(),
+            mf_edf_frontier: Vec::new(),
+            mf_hdf_frontier: Vec::new(),
         }
     }
 
@@ -776,9 +778,9 @@ impl Scheduler for AsetsStar {
         edf_tops.clear();
         hdf_tops.clear();
         self.edf
-            .top_k_into(slots, &mut edf_tops, &mut self.mf_frontier);
+            .top_k_into(slots, &mut edf_tops, &mut self.mf_edf_frontier);
         self.hdf
-            .top_k_into(slots, &mut hdf_tops, &mut self.mf_frontier);
+            .top_k_into(slots, &mut hdf_tops, &mut self.mf_hdf_frontier);
         let (mut i, mut j) = (0usize, 0usize);
         while out.len() < slots && (i < edf_tops.len() || j < hdf_tops.len()) {
             let a = edf_tops.get(i).map(|&(_, w)| WfId(w));

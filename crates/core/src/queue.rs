@@ -15,7 +15,8 @@
 //! seed-reproducible experiments and for the policy-vs-oracle property
 //! tests).
 
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 
 /// A priority queue over dense `u32` ids with `O(log n)` insert, remove,
 /// re-key, and min queries. Smallest key wins; ties break toward the
@@ -347,81 +348,52 @@ impl<K: Ord + Copy> MinTree<K> {
     /// the smaller id), without removing them — the tournament-tree twin of
     /// [`KeyedQueue::top_k_into`].
     ///
-    /// A best-first walk over subtree winners: `frontier` is a min-heap of
-    /// subtrees keyed by their winner, which partition the ids not yet
-    /// emitted. Popping a subtree emits its winner, the smallest remaining
-    /// key; the rest of that subtree splits into the siblings along the
-    /// winner's path down to its leaf, which join the frontier. That costs
+    /// A best-first walk over subtree winners: the heap holds subtrees,
+    /// keyed by their winner, that partition the ids not yet emitted.
+    /// Popping one emits its winner, the smallest remaining key; the rest
+    /// of that subtree splits into the siblings along the winner's path
+    /// down to its leaf, which join the heap. That costs
     /// O(k · log n · log(k log n)) instead of a leaf scan, so multi-slot
-    /// fills stay logarithmic. `frontier` is caller-retained scratch
-    /// (cleared here) so steady-state calls do not allocate.
-    pub fn top_k_into(&self, k: usize, out: &mut Vec<(K, u32)>, frontier: &mut Vec<u32>) {
-        frontier.clear();
+    /// fills stay logarithmic. `frontier` is the heap's caller-retained
+    /// storage (each entry is a winner's key and id plus its subtree node),
+    /// so steady-state calls do not allocate.
+    pub fn top_k_into(
+        &self,
+        k: usize,
+        out: &mut Vec<(K, u32)>,
+        frontier: &mut Vec<Reverse<(K, u32, u32)>>,
+    ) {
         if k == 0 || self.len == 0 {
             return;
         }
-        frontier.push(1);
+        frontier.clear();
+        let mut heap = BinaryHeap::from(std::mem::take(frontier));
+        heap.push(Reverse(self.subtree(1)));
         for _ in 0..k {
-            let Some(node) = self.frontier_pop(frontier) else {
+            let Some(Reverse((key, id, node))) = heap.pop() else {
                 break;
             };
-            let best = self.winner(node);
-            out.push(best);
-            let mut i = self.n + best.1 as usize;
+            out.push((key, id));
+            let mut i = self.n + id as usize;
             while i != node as usize {
-                let sibling = i ^ 1;
-                if self.tree[sibling] != ABSENT {
-                    self.frontier_push(frontier, sibling as u32);
+                if self.tree[i ^ 1] != ABSENT {
+                    heap.push(Reverse(self.subtree(i ^ 1)));
                 }
                 i >>= 1;
             }
         }
+        *frontier = heap.into_vec();
     }
 
-    /// The (key, id) winner of a non-empty subtree.
-    #[inline]
-    fn winner(&self, node: u32) -> (K, u32) {
-        let id = self.tree[node as usize];
-        (self.keys[id as usize].expect("winner present"), id)
-    }
-
-    /// Sift `node` into the frontier heap (ordered by subtree winner).
-    fn frontier_push(&self, heap: &mut Vec<u32>, node: u32) {
-        heap.push(node);
-        let mut pos = heap.len() - 1;
-        while pos > 0 {
-            let parent = (pos - 1) / 2;
-            if self.winner(heap[pos]) >= self.winner(heap[parent]) {
-                break;
-            }
-            heap.swap(pos, parent);
-            pos = parent;
-        }
-    }
-
-    /// Remove the frontier subtree with the smallest winner.
-    fn frontier_pop(&self, heap: &mut Vec<u32>) -> Option<u32> {
-        let last = heap.pop()?;
-        if heap.is_empty() {
-            return Some(last);
-        }
-        let top = std::mem::replace(&mut heap[0], last);
-        let mut pos = 0;
-        loop {
-            let (l, r) = (2 * pos + 1, 2 * pos + 2);
-            let mut min = pos;
-            if l < heap.len() && self.winner(heap[l]) < self.winner(heap[min]) {
-                min = l;
-            }
-            if r < heap.len() && self.winner(heap[r]) < self.winner(heap[min]) {
-                min = r;
-            }
-            if min == pos {
-                return Some(top);
-            }
-            heap.swap(pos, min);
-            pos = min;
-        }
+    /// A non-empty subtree as a heap entry: its winner's key and id, then
+    /// the node (winners are distinct, so the node never breaks a tie).
+    fn subtree(&self, node: usize) -> (K, u32, u32) {
+        let id = self.tree[node];
+        (
+            self.keys[id as usize].expect("winner present"),
+            id,
+            node as u32,
+        )
     }
 
     /// Drain every entry whose key is `<= bound`, in key order — the same
