@@ -2,7 +2,8 @@
 //!
 //! Variants of the exact `deep_workflow_scale/indexed/100` workload
 //! (10k transactions in 100-member interleaved chains under indexed
-//! ASETS\*), per-event arm first, batch-native arm second:
+//! ASETS\*). The first four keep that row's per-event maintenance (ASETS\*
+//! under [`PerEvent`]); the rest run its coalesced `on_batch` pass:
 //!
 //! 1. `disabled` — no observer attached. This is PR 1's hot path and MUST
 //!    stay there: `ObserverSlot` is a single `Option` branch per decision
@@ -18,23 +19,24 @@
 //! 4. `spans` — a full `SpanRecorder` (flight ring *plus* lifecycle span
 //!    events and phase profiling). The delta over `flight_recorder` is the
 //!    span-tracing cost; `obs_gate` prints it as its own artifact row.
-//! 5. `disabled_batched` — the epoch-batched engine, unobserved: the
+//! 5. `disabled_batched` — coalesced maintenance, unobserved: the
 //!    production default's baseline.
-//! 6. `batched` — the same `FlightRecorder` riding the *batched* engine.
+//! 6. `batched` — the same `FlightRecorder` over coalesced maintenance.
 //!    `obs_gate` requires this to beat `flight_recorder` (the per-event
 //!    observed run) by its pinned speedup floor: observation must not
 //!    forfeit batching.
-//! 7. `sampled_64` — a 1-in-64 `SamplingObserver` around the recorder, on
-//!    the batched engine. Declines timing, samples spans, keeps counters
-//!    and the SLO sketches exact. `obs_gate` pins this near
-//!    `disabled_batched` — the always-on production configuration.
+//! 7. `sampled_64` — a 1-in-64 `SamplingObserver` around the recorder,
+//!    coalesced. Declines timing, samples spans, keeps counters and the
+//!    SLO sketches exact. `obs_gate` pins this near `disabled_batched` —
+//!    the always-on production configuration.
 //! 8. `bus_live` — a `BusObserver` pushing into a lock-free ring with the
-//!    collector thread live, on the batched engine: the scrape-endpoint
-//!    deployment shape.
+//!    collector thread live, coalesced: the scrape-endpoint deployment
+//!    shape.
 
 use asets_bench::chain_workload;
 use asets_core::obs::{share, NoopObserver, SharedObserver};
-use asets_core::policy::AsetsStar;
+use asets_core::policy::reference::PerEvent;
+use asets_core::policy::{AsetsStar, Scheduler};
 use asets_core::table::TxnTable;
 use asets_core::txn::TxnSpec;
 use asets_obs::{FlightRecorder, SamplingObserver, SpanRecorder, TelemetryBus};
@@ -58,15 +60,23 @@ const SAMPLE_PERIOD: u64 = 64;
 /// push cost).
 const BUS_RING: usize = 1 << 18;
 
-/// Time full runs of `specs` under indexed ASETS\* with an observer made by
-/// `make_obs` (or none), clones prepared outside the timed region.
-fn bench_observed<F>(
+/// The `deep_workflow_scale/indexed` policy: ASETS\* maintained per event.
+fn indexed(table: &TxnTable) -> PerEvent<AsetsStar> {
+    PerEvent(AsetsStar::with_defaults(table))
+}
+
+/// Time full runs of `specs` under the policy `make` builds, with an
+/// observer made by `make_obs` (or none), clones prepared outside the
+/// timed region.
+fn bench_observed<S, M, F>(
     g: &mut criterion::BenchmarkGroup<'_>,
     id: BenchmarkId,
     specs: &[TxnSpec],
-    batched: bool,
+    make: M,
     make_obs: F,
 ) where
+    S: Scheduler,
+    M: Fn(&TxnTable) -> S,
     F: Fn() -> Option<SharedObserver>,
 {
     g.bench_with_input(id, &specs, |b, specs| {
@@ -74,11 +84,7 @@ fn bench_observed<F>(
             || (specs.to_vec(), specs.to_vec(), make_obs()),
             |(for_table, for_sim, obs)| {
                 let table = TxnTable::new(for_table).unwrap();
-                let policy = AsetsStar::with_defaults(&table);
-                let mut engine = Engine::new(for_sim, policy).unwrap();
-                if batched {
-                    engine = engine.with_batching();
-                }
+                let mut engine = Engine::new(for_sim, make(&table)).unwrap();
                 if let Some(obs) = obs {
                     engine = engine.with_observer(obs);
                 }
@@ -94,52 +100,56 @@ fn observer_overhead(c: &mut Criterion) {
     g.sample_size(10);
     let specs = chain_workload(10_000, 100);
 
-    // Per-event arm.
+    // Per-event maintenance.
     bench_observed(
         &mut g,
         BenchmarkId::new("disabled", 100),
         &specs,
-        false,
+        indexed,
         || None,
     );
-    bench_observed(&mut g, BenchmarkId::new("noop", 100), &specs, false, || {
-        Some(share(&Rc::new(RefCell::new(NoopObserver))))
-    });
+    bench_observed(
+        &mut g,
+        BenchmarkId::new("noop", 100),
+        &specs,
+        indexed,
+        || Some(share(&Rc::new(RefCell::new(NoopObserver)))),
+    );
     bench_observed(
         &mut g,
         BenchmarkId::new("flight_recorder", 100),
         &specs,
-        false,
+        indexed,
         || Some(share(&FlightRecorder::shared(RING))),
     );
     bench_observed(
         &mut g,
         BenchmarkId::new("spans", 100),
         &specs,
-        false,
+        indexed,
         || Some(share(&Rc::new(RefCell::new(SpanRecorder::new(RING))))),
     );
 
-    // Batch-native arm.
+    // Coalesced maintenance.
     bench_observed(
         &mut g,
         BenchmarkId::new("disabled_batched", 100),
         &specs,
-        true,
+        AsetsStar::with_defaults,
         || None,
     );
     bench_observed(
         &mut g,
         BenchmarkId::new("batched", 100),
         &specs,
-        true,
+        AsetsStar::with_defaults,
         || Some(share(&FlightRecorder::shared(RING))),
     );
     bench_observed(
         &mut g,
         BenchmarkId::new("sampled_64", 100),
         &specs,
-        true,
+        AsetsStar::with_defaults,
         || {
             Some(share(&Rc::new(RefCell::new(SamplingObserver::new(
                 FlightRecorder::new(RING),
@@ -156,7 +166,7 @@ fn observer_overhead(c: &mut Criterion) {
         &mut g,
         BenchmarkId::new("bus_live", 100),
         &specs,
-        true,
+        AsetsStar::with_defaults,
         move || Some(bus_obs.clone()),
     );
     g.finish();

@@ -11,9 +11,13 @@
 //!    the incremental `WorkflowIndex` (O(log |W|) per event) separates from
 //!    the pre-index rescan implementation (O(|W|) per event), plus a
 //!    100k-transaction batch at the indexed cost only.
+//!
+//! Every `indexed*` row runs ASETS\* under [`PerEvent`], maintaining its
+//! index hook by hook; the `batched` rows run the same policy with its
+//! coalesced `on_batch` pass, so `batched` vs `indexed` isolates coalescing.
 
 use asets_bench::chain_workload;
-use asets_core::policy::reference::{NaiveAsetsStar, RescanAsetsStar};
+use asets_core::policy::reference::{NaiveAsetsStar, PerEvent, RescanAsetsStar};
 use asets_core::policy::{AsetsStar, PolicyKind};
 use asets_core::queue::KeyedQueue;
 use asets_core::table::TxnTable;
@@ -55,7 +59,7 @@ fn indexed_vs_naive(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("indexed", n), &specs, |b, specs| {
             b.iter(|| {
                 let table = TxnTable::new(specs.clone()).unwrap();
-                let policy = AsetsStar::with_defaults(&table);
+                let policy = PerEvent(AsetsStar::with_defaults(&table));
                 black_box(
                     simulate_with(specs.clone(), policy)
                         .unwrap()
@@ -127,32 +131,13 @@ fn bench_runs<S, F>(
     S: asets_core::policy::Scheduler,
     F: Fn(&TxnTable) -> S + Copy,
 {
-    bench_runs_mode(g, id, specs, make, false)
-}
-
-/// [`bench_runs`] with the engine mode explicit: `batched` runs the same
-/// workload through [`Engine::with_batching`] (bit-identical results, one
-/// coalesced maintain pass per instant).
-fn bench_runs_mode<S, F>(
-    g: &mut criterion::BenchmarkGroup<'_>,
-    id: BenchmarkId,
-    specs: &[TxnSpec],
-    make: F,
-    batched: bool,
-) where
-    S: asets_core::policy::Scheduler,
-    F: Fn(&TxnTable) -> S + Copy,
-{
     g.bench_with_input(id, &specs, |b, specs| {
         b.iter_batched(
             || (specs.to_vec(), specs.to_vec()),
             |(for_table, for_sim)| {
                 let table = TxnTable::new(for_table).unwrap();
                 let policy = make(&table);
-                let mut engine = Engine::new(for_sim, policy).unwrap();
-                if batched {
-                    engine = engine.with_batching();
-                }
+                let engine = Engine::new(for_sim, policy).unwrap();
                 black_box(engine.run().summary.avg_tardiness)
             },
             BatchSize::LargeInput,
@@ -180,7 +165,7 @@ fn deep_workflow_scale(c: &mut Criterion) {
             &mut g,
             BenchmarkId::new("indexed", chain_len),
             &specs,
-            AsetsStar::with_defaults,
+            |t| PerEvent(AsetsStar::with_defaults(t)),
         );
         bench_runs(
             &mut g,
@@ -188,33 +173,27 @@ fn deep_workflow_scale(c: &mut Criterion) {
             &specs,
             RescanAsetsStar::with_defaults,
         );
-        // The same indexed policy through the epoch-batched engine: the
-        // coalesced maintain/select rounds and bulk rebuilds should only
-        // ever move this below the `indexed` row.
-        bench_runs_mode(
+        // The same indexed policy with its coalesced maintain pass: the
+        // bulk rebuilds should only ever move this below the `indexed` row.
+        bench_runs(
             &mut g,
             BenchmarkId::new("batched", chain_len),
             &specs,
             AsetsStar::with_defaults,
-            true,
         );
     }
     // Batch-size headroom: 100k transactions in 100-member workflows at the
     // indexed cost only (the rescan twin would dominate the bench's
     // wall-clock budget; its scaling is established above).
     let specs = chain_workload(100_000, 100);
+    bench_runs(&mut g, BenchmarkId::new("indexed_100k", 100), &specs, |t| {
+        PerEvent(AsetsStar::with_defaults(t))
+    });
     bench_runs(
-        &mut g,
-        BenchmarkId::new("indexed_100k", 100),
-        &specs,
-        AsetsStar::with_defaults,
-    );
-    bench_runs_mode(
         &mut g,
         BenchmarkId::new("indexed_100k_batched", 100),
         &specs,
         AsetsStar::with_defaults,
-        true,
     );
     g.finish();
 }

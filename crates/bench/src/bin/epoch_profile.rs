@@ -1,36 +1,46 @@
-//! `epoch_profile` — side-by-side timing of the per-event and epoch-batched
-//! engine modes on the deep-workflow stress workload, with the bit-identity
+//! `epoch_profile` — side-by-side timing of per-event and epoch-coalesced
+//! maintenance on the deep-workflow stress workload, with the bit-identity
 //! contract asserted on every run.
 //!
 //! ```text
 //! epoch_profile [n_txns] [chain_len] [out.json]
 //! ```
 //!
-//! Runs ASETS\* over `chain_workload(n_txns, chain_len)` in both modes
-//! (best of three runs each), verifies outcomes/stats/summary/epochs are
-//! identical, prints a human-readable comparison, and writes a flat-JSON
-//! artifact (same line shape as the criterion shim summaries, so
-//! `parse_flat`-based tooling such as `batch_gate` can read either file).
+//! Runs ASETS\* over `chain_workload(n_txns, chain_len)` twice — with its
+//! coalesced `on_batch` pass, and hook by hook under [`PerEvent`] — (best
+//! of three runs each), verifies outcomes/stats/summary/epochs are
+//! identical, prints a human-readable comparison, and writes a
+//! provenance-stamped flat-JSON artifact (same line shape as the criterion
+//! shim summaries, so `asets_bench::artifact::mean_ns` reads either file).
 //! Default output path: `BENCH_epoch_profile.json`.
 
-use asets_bench::chain_workload;
+use asets_bench::{artifact, chain_workload};
+use asets_core::policy::reference::PerEvent;
 use asets_core::policy::PolicyKind;
+use asets_core::table::TxnTable;
 use asets_core::txn::TxnSpec;
-use asets_sim::{simulate_batched, simulate_per_event, SimResult};
+use asets_sim::{simulate_with, SimResult};
 use std::time::Instant;
 
 const REPS: usize = 3;
 
-fn best_of(specs: &[TxnSpec], batched: bool) -> (f64, SimResult) {
+/// One ASETS\* run over `specs`, coalesced or under [`PerEvent`].
+fn run(specs: &[TxnSpec], per_event: bool) -> SimResult {
+    let table = TxnTable::new(specs.to_vec()).expect("chain workload is acyclic");
+    let policy = PolicyKind::asets_star().build(&table);
+    if per_event {
+        simulate_with(specs.to_vec(), PerEvent(policy))
+    } else {
+        simulate_with(specs.to_vec(), policy)
+    }
+    .expect("chain workload is acyclic")
+}
+
+fn best_of(specs: &[TxnSpec], per_event: bool) -> (f64, SimResult) {
     let mut best: Option<(f64, SimResult)> = None;
     for _ in 0..REPS {
         let started = Instant::now();
-        let r = if batched {
-            simulate_batched(specs.to_vec(), PolicyKind::asets_star())
-        } else {
-            simulate_per_event(specs.to_vec(), PolicyKind::asets_star())
-        }
-        .expect("chain workload is acyclic");
+        let r = run(specs, per_event);
         let dt = started.elapsed().as_secs_f64();
         if best.as_ref().is_none_or(|(b, _)| dt < *b) {
             best = Some((dt, r));
@@ -55,10 +65,10 @@ fn main() {
         .unwrap_or_else(|| "BENCH_epoch_profile.json".to_string());
 
     let specs = chain_workload(n, chain_len);
-    let (per_event_s, base) = best_of(&specs, false);
-    let (batched_s, fast) = best_of(&specs, true);
+    let (per_event_s, base) = best_of(&specs, true);
+    let (batched_s, fast) = best_of(&specs, false);
 
-    // The profile is only meaningful if the modes agree bit for bit.
+    // The profile is only meaningful if the two agree bit for bit.
     assert_eq!(fast.outcomes, base.outcomes, "batched outcomes diverged");
     assert_eq!(fast.stats, base.stats, "batched stats diverged");
     assert_eq!(fast.summary, base.summary, "batched summary diverged");
@@ -77,7 +87,8 @@ fn main() {
         fast.stats.scheduling_points,
     );
 
-    let mut out = String::from("{\n  \"bench\": \"epoch_profile\",\n  \"results\": [\n");
+    let mut out = artifact::header("epoch_profile");
+    out.push_str("  \"results\": [\n");
     let rows = [("per_event", per_event_s), ("batched", batched_s)];
     for (mode, secs) in rows {
         out.push_str(&format!(

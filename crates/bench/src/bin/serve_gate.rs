@@ -26,6 +26,7 @@
 //! `--secs` (or `SERVE_GATE_SECS`) shrinks the steady soak for local
 //! runs; the summary JSON is provenance-stamped like `steal_gate`'s.
 
+use asets_bench::artifact;
 use asets_experiments::serve::{
     check_conservation, run_serve, run_serve_with, ServeConfig, ServeMode, ServeReport,
     ServeTelemetry,
@@ -269,45 +270,8 @@ fn check_gates(rows: &[Row]) -> Result<(), String> {
     Ok(())
 }
 
-/// Best-effort provenance, mirroring the criterion shim's stamp fields.
-fn provenance() -> (String, String, String) {
-    let git_sha = std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string());
-    let date_unix = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs().to_string())
-        .unwrap_or_else(|_| "unknown".to_string());
-    let host = std::env::var("HOSTNAME")
-        .ok()
-        .filter(|h| !h.is_empty())
-        .or_else(|| {
-            std::process::Command::new("uname")
-                .arg("-n")
-                .output()
-                .ok()
-                .filter(|o| o.status.success())
-                .and_then(|o| String::from_utf8(o.stdout).ok())
-                .map(|s| s.trim().to_string())
-                .filter(|h| !h.is_empty())
-        })
-        .unwrap_or_else(|| "unknown".to_string());
-    (git_sha, date_unix, host)
-}
-
 fn write_summary(path: &str, rows: &[Row]) -> Result<(), String> {
-    let (git_sha, date_unix, host) = provenance();
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"serve_gate\",");
-    let _ = writeln!(out, "  \"git_sha\": \"{git_sha}\",");
-    let _ = writeln!(out, "  \"date_unix\": \"{date_unix}\",");
-    let _ = writeln!(out, "  \"host\": \"{host}\",");
+    let mut out = artifact::header("serve_gate");
     let _ = writeln!(
         out,
         "  \"workload\": {{\"steady_rate\": {STEADY_RATE}, \"overload_rate\": {OVERLOAD_RATE}, \

@@ -29,33 +29,14 @@
 //!    clone and drop their workloads differently, so only the same-file
 //!    engine row is an apples-to-apples floor.
 
+use asets_bench::artifact::mean_ns;
 use asets_bench::chain_workload;
 use asets_core::policy::PolicyKind;
-use asets_obs::json::parse_flat;
 use asets_sim::ShardedRuntime;
 use std::process::ExitCode;
 
 /// Shard counts visited by the simulated scale-out table.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// Pull `mean_ns` for `group`/`id` out of a bench summary file (the flat
-/// one-object-per-line shape the criterion shim writes).
-fn mean_ns(path: &str, group: &str, id: &str) -> Result<f64, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if !line.starts_with("{\"group\"") {
-            continue;
-        }
-        let obj = parse_flat(line).map_err(|e| format!("{path}: bad result line: {e}"))?;
-        if obj.str("group") == Some(group) && obj.str("id") == Some(id) {
-            return obj
-                .float("mean_ns")
-                .ok_or_else(|| format!("{path}: {group}/{id} has no mean_ns"));
-        }
-    }
-    Err(format!("{path}: no result for {group}/{id}"))
-}
 
 /// The deterministic half: simulated throughput at each K, gated at 2x for
 /// K=4 vs K=1.

@@ -38,6 +38,7 @@
 //! The full mode × K table is written as a provenance-stamped JSON summary
 //! (same flat-results shape as the criterion shim) for the CI artifact.
 
+use asets_bench::artifact;
 use asets_core::policy::PolicyKind;
 use asets_core::time::SimDuration;
 use asets_core::txn::TxnSpec;
@@ -259,45 +260,8 @@ fn check_threaded(cells: &mut Vec<Cell>) -> Result<(), String> {
     Ok(())
 }
 
-/// Best-effort provenance, mirroring the criterion shim's stamp fields.
-fn provenance() -> (String, String, String) {
-    let git_sha = std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string());
-    let date_unix = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs().to_string())
-        .unwrap_or_else(|_| "unknown".to_string());
-    let host = std::env::var("HOSTNAME")
-        .ok()
-        .filter(|h| !h.is_empty())
-        .or_else(|| {
-            std::process::Command::new("uname")
-                .arg("-n")
-                .output()
-                .ok()
-                .filter(|o| o.status.success())
-                .and_then(|o| String::from_utf8(o.stdout).ok())
-                .map(|s| s.trim().to_string())
-                .filter(|h| !h.is_empty())
-        })
-        .unwrap_or_else(|| "unknown".to_string());
-    (git_sha, date_unix, host)
-}
-
 fn write_summary(path: &str, cells: &[Cell]) -> Result<(), String> {
-    let (git_sha, date_unix, host) = provenance();
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"steal_gate\",");
-    let _ = writeln!(out, "  \"git_sha\": \"{git_sha}\",");
-    let _ = writeln!(out, "  \"date_unix\": \"{date_unix}\",");
-    let _ = writeln!(out, "  \"host\": \"{host}\",");
+    let mut out = artifact::header("steal_gate");
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let _ = writeln!(
         out,

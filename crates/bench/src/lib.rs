@@ -8,6 +8,8 @@
 //! (which `repro` runs at full size) to keep `cargo bench --workspace` in
 //! the minutes range.
 
+pub mod artifact;
+
 use asets_core::policy::PolicyKind;
 use asets_core::txn::TxnSpec;
 use asets_sim::{simulate, SimResult};

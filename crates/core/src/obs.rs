@@ -412,10 +412,9 @@ pub trait Observer {
     fn engine_phase(&mut self, _at: SimTime, _phase: EnginePhase, _wall_ns: u64) {}
 
     /// One whole epoch settled: `events` is the coalesced lifecycle slice
-    /// in engine order (the exact events the per-event hooks narrate one at
-    /// a time), `summary` its aggregate shape. Fired by *both* engine arms
-    /// after the maintain pass, so batch-native observers can account
-    /// epochs without caring which arm ran.
+    /// in engine order (the exact events the lifecycle hooks above narrate
+    /// one at a time), `summary` its aggregate shape. Fired once per
+    /// scheduling point, right after the policy's maintain pass.
     fn on_epoch(&mut self, _events: &[LifecycleEvent], _summary: &EpochSummary) {}
 
     /// Whether this observer wants wall-clock latency in

@@ -23,6 +23,9 @@
 //!    implementation forwards to `select` (single fill), so every policy
 //!    keeps its exact single-server behavior; queue-backed baselines
 //!    override it to rank their top-M.
+//! 6. The engine delivers the hooks of points 2–3 (and arrivals) through
+//!    one [`Scheduler::on_batch`] call per scheduling point, after the
+//!    table has settled; the default replays them hook by hook.
 //!
 //! The available policies:
 //!
@@ -67,8 +70,8 @@ use std::cmp::Ordering;
 
 /// One table mutation at a scheduling point, in engine order — the unit of
 /// [`Scheduler::on_batch`]. Each variant names the per-event hook it stands
-/// for; a batch replays them in the exact order the per-event engine would
-/// have fired them.
+/// for; the default `on_batch` replays a batch through those hooks in
+/// order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LifecycleEvent {
     /// `t` completed ([`Scheduler::on_complete`]).
@@ -142,17 +145,19 @@ pub trait Scheduler {
     }
 
     /// Deliver every lifecycle event of one scheduling point at once. The
-    /// engine's batched mode mutates the table for the whole same-instant
-    /// epoch first, then hands the events over in the exact order the
-    /// per-event mode would have fired the hooks.
+    /// engine mutates the table for the whole same-instant epoch first,
+    /// then hands the events over in engine order (servers by index, each
+    /// completion followed by the dependents it released, then arrivals by
+    /// id) — this is the engine's only maintenance call.
     ///
-    /// The default replays the per-event hooks in that order, which is
-    /// bit-identical for every policy in this crate: each hook reads only
-    /// the event transaction's *own* table fields (deadline and weight are
-    /// static; remaining time changes only through that transaction's own
-    /// pause, which is itself one of the events), so hook-time and
-    /// batch-time reads agree. Policies with cross-transaction maintenance
-    /// override this to coalesce work across the batch.
+    /// The default replays the per-event hooks in that order. Every hook
+    /// in this crate reads only the event transaction's *own* table fields
+    /// (deadline and weight are static; remaining time changes only through
+    /// that transaction's own pause, which is itself one of the events), so
+    /// reading them from the settled table is exact. Policies with
+    /// cross-transaction maintenance override this to coalesce work across
+    /// the batch; [`reference::PerEvent`] runs any policy with the default
+    /// replay instead, the oracle an override is pinned against.
     fn on_batch(&mut self, events: &[LifecycleEvent], table: &TxnTable, now: SimTime) {
         for &ev in events {
             match ev {

@@ -10,6 +10,10 @@
 //! They also serve as executable specifications: if the paper's prose and
 //! the indexed implementation ever seem to disagree, the few lines of the
 //! oracle are the ground truth to read.
+//!
+//! [`PerEvent`] is the maintenance-side oracle: it runs any policy with
+//! its coalesced [`Scheduler::on_batch`] pass replaced by the trait's
+//! hook-by-hook replay.
 
 use super::asets::decide_eq1;
 use super::asets_star::{edf_wins, hdf_key};
@@ -374,6 +378,56 @@ impl Scheduler for RescanAsetsStar {
                 }
             }
         }
+    }
+}
+
+/// Per-event maintenance for any policy: forwards every [`Scheduler`]
+/// method to `S` *except* [`Scheduler::on_batch`], so the trait's default
+/// replay drives `S`'s lifecycle hooks one event at a time, in engine
+/// order.
+///
+/// For a policy that keeps the default `on_batch` this changes nothing.
+/// For one that overrides it with a coalesced pass (ASETS\*), running
+/// `Engine(S)` against `Engine(PerEvent(S))` pins the coalesced pass
+/// against its own per-event replay through one engine loop
+/// (`tests/batched_determinism.rs`), and the benches use it as the
+/// per-event baseline the batched pass must beat.
+#[derive(Debug)]
+pub struct PerEvent<S>(pub S);
+
+impl<S: Scheduler> Scheduler for PerEvent<S> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn on_ready(&mut self, t: TxnId, table: &TxnTable, now: SimTime) {
+        self.0.on_ready(t, table, now);
+    }
+    fn on_blocked_arrival(&mut self, t: TxnId, table: &TxnTable, now: SimTime) {
+        self.0.on_blocked_arrival(t, table, now);
+    }
+    fn on_requeue(&mut self, t: TxnId, table: &TxnTable, now: SimTime) {
+        self.0.on_requeue(t, table, now);
+    }
+    fn on_complete(&mut self, t: TxnId, table: &TxnTable, now: SimTime) {
+        self.0.on_complete(t, table, now);
+    }
+    fn select(&mut self, table: &TxnTable, now: SimTime) -> Option<TxnId> {
+        self.0.select(table, now)
+    }
+    fn select_many(&mut self, table: &TxnTable, now: SimTime, slots: usize, out: &mut Vec<TxnId>) {
+        self.0.select_many(table, now, slots, out);
+    }
+    fn steal_candidates(&self, table: &TxnTable, now: SimTime, k: usize, out: &mut Vec<TxnId>) {
+        self.0.steal_candidates(table, now, k, out);
+    }
+    fn on_stolen(&mut self, t: TxnId, table: &TxnTable, now: SimTime) {
+        self.0.on_stolen(t, table, now);
+    }
+    fn next_wakeup(&self, now: SimTime) -> Option<SimTime> {
+        self.0.next_wakeup(now)
+    }
+    fn attach_observer(&mut self, obs: crate::obs::SharedObserver) {
+        self.0.attach_observer(obs);
     }
 }
 

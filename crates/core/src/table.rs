@@ -533,6 +533,48 @@ mod tests {
     }
 
     #[test]
+    fn ready_count_tracks_every_transition() {
+        // The O(1) gauge must equal a scan of Ready-phase (waiting, not
+        // running) transactions after every lifecycle transition.
+        fn gauge(tbl: &TxnTable) -> usize {
+            let scan = tbl
+                .ids()
+                .filter(|&t| tbl.state(t).phase == TxnPhase::Ready)
+                .count();
+            assert_eq!(tbl.ready_count(), scan);
+            scan
+        }
+        let specs = vec![
+            ind(0, 10, 2),
+            TxnSpec {
+                deps: vec![TxnId(0)],
+                ..ind(0, 12, 3)
+            },
+            ind(0, 20, 4),
+        ];
+        let mut tbl = TxnTable::new(specs).unwrap();
+        assert_eq!(gauge(&tbl), 0);
+        tbl.arrive(TxnId(0), at(0));
+        assert_eq!(gauge(&tbl), 1, "arrive ready");
+        tbl.arrive(TxnId(1), at(0));
+        assert_eq!(gauge(&tbl), 1, "arrive blocked");
+        tbl.arrive(TxnId(2), at(0));
+        assert_eq!(gauge(&tbl), 2);
+        tbl.retract(TxnId(2));
+        assert_eq!(gauge(&tbl), 1, "retract");
+        tbl.start_running(TxnId(0));
+        assert_eq!(gauge(&tbl), 0, "start_running");
+        tbl.pause(TxnId(0), units(1));
+        assert_eq!(gauge(&tbl), 1, "pause");
+        tbl.start_running(TxnId(0));
+        assert_eq!(gauge(&tbl), 0);
+        let mut released = Vec::new();
+        tbl.complete_into(TxnId(0), at(2), units(1), &mut released);
+        assert_eq!(released, vec![TxnId(1)]);
+        assert_eq!(gauge(&tbl), 1, "complete_into releases the dependent");
+    }
+
+    #[test]
     fn ready_ids_lists_running_too() {
         let mut tbl = chain3();
         tbl.arrive(TxnId(0), at(0));

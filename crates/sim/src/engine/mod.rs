@@ -24,9 +24,12 @@
 //!
 //! 1. settles each server in index order — completing its transaction if
 //!    the remaining time elapsed, otherwise *pausing* it (crediting
-//!    service) and letting the policy re-key it;
+//!    service);
 //! 2. delivers all arrivals due at this instant;
-//! 3. asks the policy to fill the servers. Choices resume on their previous
+//! 3. hands the instant's lifecycle events to the policy in one
+//!    [`Scheduler::on_batch`] maintain pass (the policy re-keys paused
+//!    transactions, retires completed ones, indexes ready ones);
+//! 4. asks the policy to fill the servers. Choices resume on their previous
 //!    server when they have one (no trace events), otherwise they take the
 //!    lowest-indexed free server — preferring genuinely empty servers over
 //!    displacing a paused transaction. A paused transaction is *preempted*
@@ -74,8 +77,7 @@ pub struct SimResult {
     pub trace: Option<Trace>,
     /// Backlog time series, when sampling was requested.
     pub backlog: Option<BacklogSeries>,
-    /// Epoch coalescing telemetry (identical scheduling points in both
-    /// engine modes; see [`EpochStats`]).
+    /// Epoch coalescing telemetry (see [`EpochStats`]).
     pub epochs: EpochStats,
 }
 
@@ -98,7 +100,6 @@ pub struct Engine<S, P = EventPump> {
     /// attach from [`asets_core::obs::Observer::wants_timing`]); `false`
     /// removes every `Instant` read from the scheduling-point path.
     obs_timing: bool,
-    batched: bool,
     epoch: EpochStats,
     // Reused per-point scratch (no allocations on the hot path).
     choices: Vec<TxnId>,
@@ -144,7 +145,6 @@ impl<S: Scheduler, P: Pump> Engine<S, P> {
             backlog: None,
             obs: None,
             obs_timing: true,
-            batched: false,
             epoch: EpochStats::default(),
             choices: Vec::new(),
             paused: Vec::new(),
@@ -163,22 +163,6 @@ impl<S: Scheduler, P: Pump> Engine<S, P> {
     /// If `servers == 0`.
     pub fn with_servers(mut self, servers: usize) -> Self {
         self.pool = ServerPool::new(servers);
-        self
-    }
-
-    /// Process scheduling points as *epochs*: mutate the table for the
-    /// whole same-instant batch first, then deliver every lifecycle event
-    /// to the policy in one [`Scheduler::on_batch`] call, letting it
-    /// coalesce index maintenance across the batch. Outcomes, stats and
-    /// traces are bit-identical to the per-event mode — the same events are
-    /// delivered in the same order, only hook timing is deferred — which
-    /// `tests/batched_determinism.rs` pins across every policy kind, with
-    /// and without an observer attached: the batched arm fires the same
-    /// lifecycle hooks (plus [`asets_core::obs::Observer::on_epoch`]) in
-    /// the same order, so attaching an observer no longer changes which
-    /// engine arm runs.
-    pub fn with_batching(mut self) -> Self {
-        self.batched = true;
         self
     }
 
@@ -273,24 +257,31 @@ impl<S: Scheduler, P: Pump> Engine<S, P> {
         true
     }
 
-    /// Process the scheduling point at instant `t`.
+    /// Process the scheduling point at instant `t` as one *epoch*: settle
+    /// every server and deliver the instant's arrivals (mutating the table
+    /// and recording one [`LifecycleEvent`] per transition), then hand the
+    /// whole same-instant batch to the policy in one [`Scheduler::on_batch`]
+    /// call, then select and dispatch. Observer lifecycle hooks
+    /// (`served`/`completed`/`became_ready`/`arrived`) fire inline, as the
+    /// table mutations they narrate happen.
+    ///
+    /// Deferring the policy hooks past the table mutations is an
+    /// optimization of *when* maintenance runs, not of what is decided:
+    /// the events arrive in the order a per-event loop would have fired
+    /// them, and the trait's default `on_batch` replays them hook by hook.
+    /// `tests/batched_determinism.rs` pins every policy's `on_batch`
+    /// against that replay ([`asets_core::policy::reference::PerEvent`]).
     fn step_to(&mut self, t: SimTime) {
-        if self.batched {
-            self.step_to_batched(t);
-            return;
-        }
         let gap = self.pump.advance(t);
         // Self-profiling clock: one Instant per phase boundary, and only
         // when an attached observer wants timing — the disabled path (and
         // the sampled path) takes no reads.
         let phase_started = (self.obs.is_some() && self.obs_timing).then(Instant::now);
 
-        // 1. Settle every server, in index order. Completions fire their
-        // policy events immediately; survivors are paused (service credited)
-        // and remembered with their server for affinity resume. The epoch's
-        // lifecycle events are mirrored into the reused scratch so
-        // `on_epoch` can hand observers the coalesced slice in both arms.
-        let mut width = 0u32;
+        // 1. Settle every server, in index order. Completions release
+        // their dependents through the reused scratch; survivors are paused
+        // (service credited) and remembered with their server for affinity
+        // resume.
         self.paused.clear();
         self.events.clear();
         for s in 0..self.pool.len() {
@@ -305,130 +296,8 @@ impl<S: Scheduler, P: Pump> Engine<S, P> {
                     }
                     if finishing {
                         // Lifecycle observers get the completion context
-                        // captured *before* `complete` consumes the state.
-                        let info = self.obs.is_some().then(|| {
-                            let spec = self.table.spec(r.txn);
-                            let ready_at = self.table.state(r.txn).ready_at.unwrap_or(spec.arrival);
-                            CompletionInfo {
-                                finish: t,
-                                deadline: spec.deadline,
-                                tardiness: t.saturating_since(spec.deadline),
-                                queue_wait: t
-                                    .saturating_since(ready_at)
-                                    .saturating_sub(spec.length),
-                                service: spec.length,
-                                met_deadline: t <= spec.deadline,
-                            }
-                        });
-                        let released = self.table.complete(r.txn, t, served);
-                        self.pump.note_completed(r.txn);
-                        self.stats.completed += 1;
-                        self.stats.makespan = t;
-                        self.record(TraceEvent::Completed {
-                            at: t,
-                            txn: r.txn,
-                            met_deadline: t <= self.table.deadline(r.txn),
-                        });
-                        if let (Some(obs), Some(info)) = (&self.obs, &info) {
-                            obs.borrow_mut().completed(t, r.txn, info);
-                        }
-                        self.policy.on_complete(r.txn, &self.table, t);
-                        self.events.push(LifecycleEvent::Complete(r.txn));
-                        width += 1;
-                        for d in released {
-                            if let Some(obs) = &self.obs {
-                                obs.borrow_mut().became_ready(t, d);
-                            }
-                            self.policy.on_ready(d, &self.table, t);
-                            self.events.push(LifecycleEvent::Ready(d));
-                            width += 1;
-                        }
-                    } else {
-                        self.table.pause(r.txn, served);
-                        self.policy.on_requeue(r.txn, &self.table, t);
-                        self.events.push(LifecycleEvent::Requeue(r.txn));
-                        width += 1;
-                        self.paused.push((s, r.txn));
-                    }
-                }
-                None => {
-                    self.stats.idle += gap;
-                }
-            }
-        }
-
-        // 2. Deliver arrivals due now (through the reused scratch buffer —
-        // no per-point allocation).
-        self.due.clear();
-        self.pump.take_due_into(&mut self.due);
-        for i in 0..self.due.len() {
-            let id = self.due[i];
-            if P::REAL_TIME {
-                // Online serving: the SLA clock starts at admission, not
-                // at the universe's pre-generated nominal arrival.
-                self.table.rebase_arrival(id, t);
-            }
-            let ready = self.table.arrive(id, t);
-            self.record(TraceEvent::Arrived {
-                at: t,
-                txn: id,
-                ready,
-            });
-            if let Some(obs) = &self.obs {
-                obs.borrow_mut().arrived(t, id, ready);
-            }
-            if ready {
-                self.policy.on_ready(id, &self.table, t);
-                self.events.push(LifecycleEvent::Ready(id));
-            } else {
-                self.policy.on_blocked_arrival(id, &self.table, t);
-                self.events.push(LifecycleEvent::BlockedArrival(id));
-            }
-            width += 1;
-        }
-
-        // Settle + arrivals is the policy's index-maintenance window.
-        let _ = self.emit_phase(t, EnginePhase::Maintain, phase_started);
-        self.epoch.note(width);
-        self.emit_epoch(t, width);
-
-        // 3. Sample backlog if due.
-        self.sample_backlog(t);
-
-        self.select_and_dispatch(t);
-    }
-
-    /// One epoch of the batched mode: identical table mutations, traces and
-    /// statistics as the per-event arm, but every policy hook of the
-    /// instant is deferred into one [`Scheduler::on_batch`] call *after*
-    /// the table has settled — the equivalence argument lives on that
-    /// method. Observer lifecycle hooks (`served`/`completed`/`arrived`/…)
-    /// fire in the same order as the per-event arm; only the *policy*
-    /// hooks are deferred, so provenance records differ at most in when
-    /// within the instant they were computed, never in content.
-    fn step_to_batched(&mut self, t: SimTime) {
-        let gap = self.pump.advance(t);
-        let phase_started = (self.obs.is_some() && self.obs_timing).then(Instant::now);
-
-        // 1. Settle every server; stash lifecycle events instead of firing
-        // policy hooks. `complete_into` reuses the released-dependents
-        // scratch. Observer lifecycle hooks still fire inline — they
-        // narrate table mutations, which happen here in both arms.
-        self.paused.clear();
-        self.events.clear();
-        for s in 0..self.pool.len() {
-            match self.pool.take(s) {
-                Some(r) => {
-                    let served = t - r.since;
-                    self.stats.busy += served;
-                    let finishing = served == self.table.remaining(r.txn);
-                    if let Some(obs) = &self.obs {
-                        obs.borrow_mut()
-                            .served(s as u32, r.txn, r.since, t, finishing);
-                    }
-                    if finishing {
-                        // Completion context captured *before* the state is
-                        // consumed, exactly like the per-event arm.
+                        // captured *before* `complete_into` consumes the
+                        // state.
                         let info = self.obs.is_some().then(|| {
                             let spec = self.table.spec(r.txn);
                             let ready_at = self.table.state(r.txn).ready_at.unwrap_or(spec.arrival);
@@ -476,12 +345,15 @@ impl<S: Scheduler, P: Pump> Engine<S, P> {
             }
         }
 
-        // 2. Deliver arrivals due now.
+        // 2. Deliver arrivals due now (through the reused scratch buffer —
+        // no per-point allocation).
         self.due.clear();
         self.pump.take_due_into(&mut self.due);
         for i in 0..self.due.len() {
             let id = self.due[i];
             if P::REAL_TIME {
+                // Online serving: the SLA clock starts at admission, not
+                // at the universe's pre-generated nominal arrival.
                 self.table.rebase_arrival(id, t);
             }
             let ready = self.table.arrive(id, t);
@@ -500,22 +372,22 @@ impl<S: Scheduler, P: Pump> Engine<S, P> {
             });
         }
 
-        // 3. One maintain pass over the whole epoch, in the exact order the
-        // per-event arm would have fired the hooks.
+        // 3. One maintain pass over the whole epoch: the policy's
+        // index-maintenance window.
         self.policy.on_batch(&self.events, &self.table, t);
         let _ = self.emit_phase(t, EnginePhase::Maintain, phase_started);
         let width = self.events.len() as u32;
         self.epoch.note(width);
         self.emit_epoch(t, width);
 
+        // 4. Sample backlog if due, then select and dispatch.
         self.sample_backlog(t);
         self.select_and_dispatch(t);
     }
 
     /// Hand the attached observer the epoch it just heard piecemeal: the
-    /// coalesced lifecycle slice plus the run's cumulative epoch telemetry.
-    /// Fired by both engine arms right after `EpochStats::note`, so
-    /// batch-native observers see identical summaries in either mode.
+    /// coalesced lifecycle slice plus the run's cumulative epoch telemetry,
+    /// fired right after `EpochStats::note`.
     fn emit_epoch(&self, t: SimTime, width: u32) {
         if let Some(obs) = &self.obs {
             let summary = EpochSummary {
@@ -529,10 +401,9 @@ impl<S: Scheduler, P: Pump> Engine<S, P> {
         }
     }
 
-    /// Select and dispatch at instant `t` — phase 4 of a scheduling point,
-    /// shared verbatim by both engine arms. Decision latency is only
-    /// measured when an observer is attached, keeping the unobserved hot
-    /// path free of clock reads.
+    /// Select and dispatch at instant `t` — the last phase of a scheduling
+    /// point. Decision latency is only measured when an observer is
+    /// attached, keeping the unobserved hot path free of clock reads.
     fn select_and_dispatch(&mut self, t: SimTime) {
         self.stats.scheduling_points += 1;
         let slots = self.pool.len();
@@ -561,8 +432,10 @@ impl<S: Scheduler, P: Pump> Engine<S, P> {
                 self.policy.name(),
                 self.paused.first().map(|&(_, p)| p).unwrap_or(TxnId(0))
             );
+            // O(1): every server was taken before select, so nothing is
+            // Running and the ready gauge counts exactly what `select` saw.
             debug_assert!(
-                self.table.ready_ids().is_empty(),
+                self.table.ready_count() == 0,
                 "policy `{}` returned None with ready transactions pending",
                 self.policy.name()
             );

@@ -52,10 +52,7 @@ pub use live::{
     AdmissionEvent, AdmissionLog, AdmissionStats, IngestRing, JobBoard, JobProducer, JobStatus,
     LiveConfig, LiveFrontend, LivePump, LiveSnapshot, LiveStats, LiveUniverse,
 };
-pub use runner::{
-    compare_policies, simulate, simulate_batched, simulate_observed, simulate_observed_per_event,
-    simulate_per_event, simulate_traced, simulate_with,
-};
+pub use runner::{compare_policies, simulate, simulate_observed, simulate_traced, simulate_with};
 pub use sharded::{
     RebalanceConfig, RebalanceEvent, RebalanceStats, ShardRun, ShardedResult, ShardedRuntime,
 };

@@ -11,37 +11,21 @@ use asets_core::policy::{PolicyKind, Scheduler};
 use asets_core::table::TxnTable;
 use asets_core::txn::TxnSpec;
 
-/// Run `specs` to completion under `kind`, in the epoch-batched engine
-/// mode (the default since the batched mode is pinned bit-identical to
-/// per-event by `tests/batched_determinism.rs` and strictly cheaper on
-/// wide instants). Use [`simulate_per_event`] to opt out.
+/// Run `specs` to completion under `kind`.
 pub fn simulate(specs: Vec<TxnSpec>, kind: PolicyKind) -> Result<SimResult, DagError> {
     // The factory needs a table to derive workflow structure; building it
     // twice (here and in the engine) keeps the factory signature simple and
     // costs O(n) once per run.
     let table = TxnTable::new(specs.clone())?;
     let policy = kind.build(&table);
-    Ok(Engine::new(specs, policy)?.with_batching().run())
-}
-
-/// [`simulate`] with the per-event engine arm (hooks fired interleaved
-/// with table mutations) — the opt-out from the batched default, kept for
-/// ablation baselines and observer-parity experiments.
-pub fn simulate_per_event(specs: Vec<TxnSpec>, kind: PolicyKind) -> Result<SimResult, DagError> {
-    let table = TxnTable::new(specs.clone())?;
-    let policy = kind.build(&table);
     Ok(Engine::new(specs, policy)?.run())
 }
 
-/// Run `specs` under `kind` with trace recording (epoch-batched, like
-/// [`simulate`]; traces are identical in both modes).
+/// Run `specs` under `kind` with trace recording.
 pub fn simulate_traced(specs: Vec<TxnSpec>, kind: PolicyKind) -> Result<SimResult, DagError> {
     let table = TxnTable::new(specs.clone())?;
     let policy = kind.build(&table);
-    Ok(Engine::new(specs, policy)?
-        .with_batching()
-        .with_trace()
-        .run())
+    Ok(Engine::new(specs, policy)?.with_trace().run())
 }
 
 /// Run `specs` under a caller-constructed policy (custom configurations).
@@ -49,35 +33,11 @@ pub fn simulate_with<S: Scheduler>(specs: Vec<TxnSpec>, policy: S) -> Result<Sim
     Ok(Engine::new(specs, policy)?.run())
 }
 
-/// Explicitly epoch-batched [`simulate`]; now the same thing, kept for
-/// callers that want the mode spelled out at the call site.
-pub fn simulate_batched(specs: Vec<TxnSpec>, kind: PolicyKind) -> Result<SimResult, DagError> {
-    simulate(specs, kind)
-}
-
 /// Run `specs` under `kind` with `obs` attached to both the engine (trace
 /// events, scheduling-point latency) and the policy (decision/migration
 /// provenance). Trace recording is enabled too, so callers can cross-check
-/// dispatches against decision records. Epoch-batched like [`simulate`]:
-/// observation no longer forces the per-event arm (use
-/// [`simulate_observed_per_event`] for the ablation baseline).
+/// dispatches against decision records.
 pub fn simulate_observed(
-    specs: Vec<TxnSpec>,
-    kind: PolicyKind,
-    obs: asets_core::obs::SharedObserver,
-) -> Result<SimResult, DagError> {
-    let table = TxnTable::new(specs.clone())?;
-    let policy = kind.build(&table);
-    Ok(Engine::new(specs, policy)?
-        .with_batching()
-        .with_trace()
-        .with_observer(obs)
-        .run())
-}
-
-/// [`simulate_observed`] on the per-event engine arm — the baseline the
-/// `obs_gate` observed-batched row compares against.
-pub fn simulate_observed_per_event(
     specs: Vec<TxnSpec>,
     kind: PolicyKind,
     obs: asets_core::obs::SharedObserver,

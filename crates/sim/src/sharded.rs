@@ -209,7 +209,6 @@ pub struct ShardedRuntime<P: SpecPump = EventPump> {
     pub(crate) servers: usize,
     pub(crate) trace: bool,
     pub(crate) backlog: Option<SimDuration>,
-    pub(crate) batched: bool,
     pub(crate) rebalance: Option<RebalanceConfig>,
     pub(crate) threaded: bool,
     pub(crate) pump: std::marker::PhantomData<P>,
@@ -226,7 +225,6 @@ impl ShardedRuntime {
             servers: 1,
             trace: false,
             backlog: None,
-            batched: true,
             rebalance: None,
             threaded: false,
             pump: std::marker::PhantomData,
@@ -247,7 +245,6 @@ impl<P: SpecPump> ShardedRuntime<P> {
             servers: self.servers,
             trace: self.trace,
             backlog: self.backlog,
-            batched: self.batched,
             rebalance: self.rebalance,
             threaded: self.threaded,
             pump: std::marker::PhantomData,
@@ -271,22 +268,6 @@ impl<P: SpecPump> ShardedRuntime<P> {
     pub fn servers(mut self, m: usize) -> Self {
         assert!(m >= 1, "need at least one server per shard");
         self.servers = m;
-        self
-    }
-
-    /// Choose the engine mode explicitly. Epoch-batched (the default; see
-    /// [`Engine::with_batching`]) and per-event produce bit-identical
-    /// results — batching only coalesces policy maintenance — with or
-    /// without observers attached.
-    pub fn batched(mut self, on: bool) -> Self {
-        self.batched = on;
-        self
-    }
-
-    /// Opt out of the epoch-batched default: fire policy hooks interleaved
-    /// with table mutations (the ablation baseline).
-    pub fn per_event(mut self) -> Self {
-        self.batched = false;
         self
     }
 
@@ -391,7 +372,6 @@ impl<P: SpecPump> ShardedRuntime<P> {
             servers: self.servers,
             trace,
             backlog,
-            batched: self.batched,
         };
 
         if self.shards == 1 {
@@ -514,9 +494,6 @@ impl<P: SpecPump> ShardedRuntime<P> {
             let policy = self.kind.build(&master);
             let mut engine = Engine::from_table(master.clone(), policy, P::from_specs(&self.specs))
                 .with_servers(self.servers);
-            if self.batched {
-                engine = engine.with_batching();
-            }
             if self.trace {
                 engine = engine.with_trace();
             }
@@ -776,7 +753,6 @@ pub(crate) struct EngineKnobs {
     pub(crate) servers: usize,
     pub(crate) trace: bool,
     pub(crate) backlog: Option<SimDuration>,
-    pub(crate) batched: bool,
 }
 
 /// Run one shard's specs to completion on the current thread. Mirrors
@@ -798,9 +774,6 @@ fn run_shard<P: SpecPump, O: Observer + 'static>(
     let mut engine = Engine::with_pump(specs, policy, pump)
         .expect("validated on the global batch")
         .with_servers(knobs.servers);
-    if knobs.batched {
-        engine = engine.with_batching();
-    }
     if knobs.trace {
         engine = engine.with_trace();
     }

@@ -153,13 +153,12 @@ impl RunStats {
 }
 
 /// Epoch mechanics of a run — how much same-instant work each scheduling
-/// point coalesced. Kept *outside* [`RunStats`] deliberately: the batched
-/// and per-event engine arms must produce bit-identical `RunStats` (the
-/// determinism suites compare them), while epoch telemetry is allowed to
-/// describe the mode that actually ran.
+/// point coalesced into one `Scheduler::on_batch` maintain pass. Kept
+/// *outside* [`RunStats`], which records what the schedule did rather than
+/// how the engine grouped the work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct EpochStats {
-    /// Epochs processed — one per scheduling point in either engine mode.
+    /// Epochs processed — one per scheduling point.
     pub epochs: u64,
     /// Lifecycle events (completions, readies, requeues, blocked arrivals)
     /// delivered across all epochs.

@@ -419,7 +419,6 @@ impl<P: SpecPump> ShardedRuntime<P> {
             servers: self.servers,
             trace: self.trace,
             backlog: self.backlog,
-            batched: self.batched,
         };
         let kind = self.kind;
         // One validated master table; each worker thread gets a cheap clone
@@ -520,9 +519,6 @@ fn run_worker<P: SpecPump, O: Observer + 'static>(
     let pump = P::from_specs(table.specs());
     let mut engine: Engine<Box<dyn Scheduler>, P> =
         Engine::from_table(table, policy, pump).with_servers(knobs.servers);
-    if knobs.batched {
-        engine = engine.with_batching();
-    }
     if knobs.trace {
         engine = engine.with_trace();
     }

@@ -180,7 +180,6 @@ fn telemetry_bus_merges_sharded_observed_runs() {
     let slots = Mutex::new(observers.into_iter().map(Some).collect::<Vec<_>>());
     let (result, _obs) = ShardedRuntime::new(specs, PolicyKind::asets_star())
         .shards(shards)
-        .batched(true)
         .run_observed(|shard, _table| {
             slots.lock().unwrap()[shard]
                 .take()

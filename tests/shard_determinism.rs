@@ -272,23 +272,22 @@ proptest! {
         k in 1usize..5,
         m in 1usize..3,
     ) {
-        let kind = PolicyKind::asets_star();
-        let a = ShardedRuntime::new(specs.clone(), kind)
-            .shards(k)
-            .servers(m)
-            .with_trace()
-            .run()
-            .expect("acyclic");
-        let b = ShardedRuntime::new(specs, kind)
-            .shards(k)
-            .servers(m)
-            .with_trace()
-            .run()
-            .expect("acyclic");
-        prop_assert_eq!(&a.merged.outcomes, &b.merged.outcomes);
-        prop_assert_eq!(&a.merged.stats, &b.merged.stats);
-        prop_assert_eq!(&a.merged.trace, &b.merged.trace);
-        prop_assert_eq!(&a.shard_of, &b.shard_of);
+        for kind in [PolicyKind::asets_star(), PolicyKind::Edf] {
+            let run = || {
+                ShardedRuntime::new(specs.clone(), kind)
+                    .shards(k)
+                    .servers(m)
+                    .with_trace()
+                    .run()
+                    .expect("acyclic")
+            };
+            let (a, b) = (run(), run());
+            prop_assert_eq!(&a.merged.outcomes, &b.merged.outcomes);
+            prop_assert_eq!(&a.merged.stats, &b.merged.stats);
+            prop_assert_eq!(&a.merged.trace, &b.merged.trace);
+            prop_assert_eq!(&a.merged.epochs, &b.merged.epochs);
+            prop_assert_eq!(&a.shard_of, &b.shard_of);
+        }
     }
 }
 

@@ -91,8 +91,7 @@ fn assert_steady_state_does_not_allocate(servers: usize) {
     let policy = PolicyKind::asets_star().build(&table);
     let mut engine = Engine::new(specs, policy)
         .expect("acyclic")
-        .with_servers(servers)
-        .with_batching();
+        .with_servers(servers);
 
     // Warm-up: run most of the batch so every scratch buffer has seen its
     // widest epoch (the workload repeats one epoch shape, so the mark is
