@@ -61,45 +61,34 @@ fn shard_scale(c: &mut Criterion) {
     g.finish();
 }
 
-/// Rebalancing overhead on the Zipf-skewed web batch: the coordinated
-/// K = 4 runtime with no rebalancing, with epoch migration, with
-/// migration + stealing, and the threaded driver on the same config.
-/// Wall-clock cost of the rebalancer itself; the simulated-throughput
-/// *win* it buys is gated by `steal_gate`. The threaded row only shows
-/// its scale-out on multi-core hosts — on one core it documents the
-/// barrier-protocol overhead instead.
+/// Rebalancing overhead on the Zipf-skewed web batch: the K = 4 runtime
+/// with static placement, and on the threaded driver with epoch migration
+/// and with migration + stealing. Wall-clock cost of the rebalancer
+/// itself; the simulated-throughput *win* it buys is gated by
+/// `steal_gate`. The rebalanced rows only show their scale-out on
+/// multi-core hosts — on one core they document the barrier-protocol
+/// overhead instead.
 fn shard_skew(c: &mut Criterion) {
     let mut g = c.benchmark_group("shard_skew");
     g.sample_size(10);
     let specs = skewed_shards(4_000, 16, 1.5, 11);
-    let modes: [(&str, RebalanceConfig, bool); 4] = [
-        ("static", RebalanceConfig::default(), false),
-        (
-            "migrate",
-            RebalanceConfig::migrate_every(SimDuration::from_units_int(200)),
-            false,
-        ),
+    let epoch = SimDuration::from_units_int(200);
+    let modes: [(&str, Option<RebalanceConfig>); 3] = [
+        ("static", None),
+        ("migrate", Some(RebalanceConfig::migrate_every(epoch))),
         (
             "migrate_steal",
-            RebalanceConfig::migrate_every(SimDuration::from_units_int(200)).with_steal(4),
-            false,
-        ),
-        (
-            "threaded",
-            RebalanceConfig::migrate_every(SimDuration::from_units_int(200)).with_steal(4),
-            true,
+            Some(RebalanceConfig::migrate_every(epoch).with_steal(4)),
         ),
     ];
-    for (label, cfg, threaded) in modes {
+    for (label, cfg) in modes {
         g.bench_with_input(BenchmarkId::new(label, 4_000), &specs, |b, specs| {
             b.iter_batched(
                 || specs.to_vec(),
                 |specs| {
-                    let mut rt = ShardedRuntime::new(specs, PolicyKind::asets_star())
-                        .shards(4)
-                        .rebalance(cfg);
-                    if threaded {
-                        rt = rt.threaded();
+                    let mut rt = ShardedRuntime::new(specs, PolicyKind::asets_star()).shards(4);
+                    if let Some(cfg) = cfg {
+                        rt = rt.rebalance(cfg);
                     }
                     black_box(rt.run().unwrap().merged.summary.avg_tardiness)
                 },

@@ -169,11 +169,11 @@ pub trait Scheduler {
         }
     }
 
-    /// Expose up to `k` steal candidates to a cross-shard coordinator:
+    /// Expose up to `k` steal candidates to the rebalancing driver:
     /// ready, never-served transactions in the order this policy prefers to
     /// surrender them — latest feasible start ascending, the migration key
     /// (paper §III-A.2) that marks the work most likely to go tardy if it
-    /// keeps queueing here. The coordinator filters further (whole singleton
+    /// keeps queueing here. The driver filters further (whole singleton
     /// workflows only) and calls [`Scheduler::on_stolen`] for each take.
     ///
     /// Like `select` this *peeks*; the default derives the ranking from the

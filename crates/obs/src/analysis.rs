@@ -67,7 +67,7 @@ impl Dump {
         })
     }
 
-    /// All cross-shard rebalancing actions (coordinated sharded runs).
+    /// All cross-shard rebalancing actions (rebalanced sharded runs).
     pub fn rebalances(&self) -> impl Iterator<Item = (u64, &RebalanceEvent)> {
         self.events.iter().filter_map(|(s, e)| match e {
             RecordedEvent::Rebalance(r) => Some((*s, r)),

@@ -47,7 +47,7 @@ pub enum RecordedEvent {
         /// The transaction that lost the server mid-work, if any.
         preempted: Option<TxnId>,
     },
-    /// A cross-shard rebalancing action from a coordinated sharded run —
+    /// A cross-shard rebalancing action from a rebalanced sharded run —
     /// ingested post-run via [`FlightRecorder::ingest_rebalance`].
     Rebalance(RebalanceEvent),
     /// An admission-control shed from a live-path run — ingested via
@@ -188,7 +188,7 @@ impl FlightRecorder {
                     *txn = g(*txn);
                     *preempted = preempted.map(g);
                 }
-                // Rebalance and admission events come from the coordinated
+                // Rebalance and admission events come from the rebalanced
                 // runtime / live front-end, which already speak global
                 // ids — nothing to rewrite.
                 RecordedEvent::Rebalance(_) | RecordedEvent::Admission(_) => {}
@@ -204,7 +204,7 @@ impl FlightRecorder {
         }
     }
 
-    /// Fold a coordinated run's rebalancing telemetry into the recorder:
+    /// Fold a rebalanced run's telemetry into the recorder:
     /// the run-wide totals become counters, the movement log becomes ring
     /// events (interleaved with whatever the run recorded live, in
     /// ingestion order — sequence numbers keep the provenance honest).

@@ -592,15 +592,15 @@ impl<S: Scheduler, P: Pump> Engine<S, P> {
         }
     }
 
-    // ---- Coordinated multi-shard surface ----
+    // ---- Rebalanced multi-shard surface ----
     //
-    // The coordinated sharded runtime (`crate::sharded`) drives K engines
+    // The threaded rebalancing driver (`crate::threaded`) runs K engines
     // over one *global* spec batch: every engine holds the full table, but
-    // its pump delivers only the shard's owned arrivals, and an external
-    // coordinator steps whichever engine has the globally earliest
-    // scheduling point. These crate-internal hooks expose exactly what that
-    // loop needs — clock/point introspection, pump surgery for epoch
-    // migration, and the two halves of a work-steal handoff.
+    // its pump delivers only the shard's owned arrivals. These
+    // crate-internal hooks expose exactly what its barrier rounds need —
+    // the clock, windowed stepping, load gauges, pump surgery for epoch
+    // migration, and the victim half of a steal (the thief admits a grant
+    // as a calendar arrival).
 
     /// Restrict the pump to arrivals passing `keep` (shard ownership).
     /// Must be called before the first step.
@@ -610,17 +610,12 @@ impl<S: Scheduler, P: Pump> Engine<S, P> {
 
     /// The engine's next scheduling point, with the same completion >
     /// arrival > wakeup fold as [`Engine::step`] but no stall panic: a
-    /// coordinated shard with nothing to do simply has no next point.
-    pub(crate) fn next_point_time(&mut self) -> Option<SimTime> {
+    /// shard with nothing to do simply has no next point.
+    fn next_point_time(&mut self) -> Option<SimTime> {
         let completion = self.pool.earliest_completion(&self.table);
         let now = self.pump.now();
         let wakeup = self.policy.next_wakeup(now).filter(|&w| w > now);
         self.pump.next_point(completion, wakeup).map(|(t, _)| t)
-    }
-
-    /// Process the scheduling point at `t` (chosen by the coordinator).
-    pub(crate) fn step_at(&mut self, t: SimTime) {
-        self.step_to(t);
     }
 
     /// The engine's clock (the pump's current instant). The threaded
@@ -633,9 +628,7 @@ impl<S: Scheduler, P: Pump> Engine<S, P> {
     /// the first point at/after it (`None` when the engine has no further
     /// event of its own). This is one shard's epoch window in the threaded
     /// rebalancing runtime: between two barriers a shard engine runs
-    /// entirely on local state, so the whole window is a single call when
-    /// stealing is off. (With stealing on, the driver interleaves channel
-    /// drains between points via `next_point_time`/`step_at` instead.)
+    /// entirely on local state, so the whole window is a single call.
     pub(crate) fn run_window(&mut self, horizon: SimTime) -> Option<SimTime> {
         loop {
             match self.next_point_time() {
@@ -675,18 +668,6 @@ impl<S: Scheduler, P: Pump> Engine<S, P> {
         self.policy.on_stolen(t, &self.table, now);
     }
 
-    /// Thief half of a steal: the stolen transaction arrives here at `now`.
-    /// No `Arrived` trace event is recorded — the victim already logged the
-    /// real arrival; the handoff shows up as this shard's `Dispatched`.
-    /// The caller must step this engine at `now` right after, so the
-    /// injected transaction reaches a dispatch decision even if the shard
-    /// had no pending event of its own.
-    pub(crate) fn inject_stolen(&mut self, t: TxnId, now: SimTime) {
-        let ready = self.table.arrive(t, now);
-        debug_assert!(ready, "stolen transactions are dependency-free");
-        self.policy.on_ready(t, &self.table, now);
-    }
-
     /// Extract the pending arrivals of `ids` (sorted ascending) for
     /// migration to another shard; appends `(time, id)` entries to `out`.
     pub(crate) fn extract_arrivals(&mut self, ids: &[TxnId], out: &mut Vec<(SimTime, TxnId)>) {
@@ -699,8 +680,8 @@ impl<S: Scheduler, P: Pump> Engine<S, P> {
     }
 
     /// Final report over whatever completed on this engine's table: the
-    /// whole batch in a solo run, the shard's owned share when
-    /// coordinated, or the admitted-and-finished subset of a live serve
+    /// whole batch in a solo run, the shard's final share when
+    /// rebalanced, or the admitted-and-finished subset of a live serve
     /// loop (shed transactions have no outcome). Public since PR 8 so the
     /// live front-end can drive [`Engine::step`] manually — interleaving
     /// SLO reports between scheduling points — and still collect the

@@ -30,7 +30,7 @@ use asets_core::txn::{TxnId, TxnSpec};
 /// * [`Pump::take_due_into`] / [`Pump::exhausted`] — batched arrival
 ///   delivery;
 /// * the calendar-surgery ops ([`Pump::retain_arrivals`],
-///   [`Pump::extract_arrivals`], [`Pump::admit_arrivals`]) the coordinated
+///   [`Pump::extract_arrivals`], [`Pump::admit_arrivals`]) the rebalanced
 ///   sharded runtime uses for epoch migration.
 ///
 /// `REAL_TIME` distinguishes the wall-clock pump: the engine rebases
@@ -75,7 +75,7 @@ pub trait Pump {
     #[inline]
     fn note_completed(&mut self, _t: TxnId) {}
 
-    /// Restrict the calendar to arrivals passing `keep` (coordinated
+    /// Restrict the calendar to arrivals passing `keep` (rebalanced
     /// sharding: each shard's pump delivers only its owned transactions).
     fn retain_arrivals(&mut self, keep: &mut dyn FnMut(TxnId) -> bool);
 
@@ -124,8 +124,7 @@ impl EventPump {
     /// completion and the policy wake-up request, or `None` when no event
     /// is pending anywhere (which the engine treats as a stall if work
     /// remains). Tie order per [`next_event`]: completion, arrival, wakeup.
-    /// Borrowing `&self` (the trait takes `&mut`) keeps the coordinated
-    /// sharded runtime's read-only point introspection possible.
+    /// Borrows `&self`: peeking never moves the clock.
     pub fn peek_point(
         &self,
         completion: Option<SimTime>,
@@ -155,7 +154,7 @@ impl EventPump {
         self.arrivals.exhausted()
     }
 
-    /// Restrict the calendar to arrivals passing `keep` (coordinated
+    /// Restrict the calendar to arrivals passing `keep` (rebalanced
     /// sharding: each shard's pump delivers only its owned transactions).
     pub fn retain_arrivals(&mut self, keep: impl FnMut(TxnId) -> bool) {
         self.arrivals.retain(keep);

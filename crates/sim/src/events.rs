@@ -86,7 +86,7 @@ impl ArrivalSchedule {
     }
 
     /// Drop every not-yet-delivered arrival whose id fails `keep`. Used by
-    /// the coordinated sharded runtime to restrict a full-batch calendar to
+    /// the rebalanced sharded runtime to restrict a full-batch calendar to
     /// the shard's owned transactions; already-delivered entries are
     /// untouched.
     pub fn retain(&mut self, mut keep: impl FnMut(TxnId) -> bool) {
