@@ -8,8 +8,8 @@
 //! successors, predecessors, roots, leaves, ancestor sets, and a
 //! deterministic topological order.
 
+use crate::csr::Csr;
 use crate::txn::{TxnId, TxnSpec};
-use std::collections::VecDeque;
 use std::fmt;
 
 /// Errors detected while validating a dependency graph.
@@ -52,13 +52,24 @@ impl fmt::Display for DagError {
 
 impl std::error::Error for DagError {}
 
+/// The ids in `0..n` passing `keep`, ascending, in one exact allocation.
+fn ids_where(n: usize, keep: impl Fn(usize) -> bool) -> Vec<TxnId> {
+    let mut ids = Vec::with_capacity((0..n).filter(|&i| keep(i)).count());
+    ids.extend((0..n).filter(|&i| keep(i)).map(|i| TxnId(i as u32)));
+    ids
+}
+
 /// An immutable, validated dependency DAG.
+///
+/// Predecessor and successor lists are stored flat ([`Csr`]), so a build
+/// costs a constant number of allocations however large the batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DepDag {
-    /// `preds[i]` = dependency list of `TxnId(i)` (deduplicated, sorted).
-    preds: Vec<Vec<TxnId>>,
-    /// `succs[i]` = transactions that depend directly on `TxnId(i)`.
-    succs: Vec<Vec<TxnId>>,
+    /// Row `i` = dependency list of `TxnId(i)`, sorted ascending.
+    preds: Csr<TxnId>,
+    /// Row `i` = transactions that depend directly on `TxnId(i)`,
+    /// ascending (release order follows it).
+    succs: Csr<TxnId>,
     /// Transactions appearing in no dependency list (workflow roots).
     roots: Vec<TxnId>,
     /// Transactions with empty dependency lists (workflow leaves /
@@ -72,45 +83,71 @@ pub struct DepDag {
 impl DepDag {
     /// Build and validate the DAG for a batch of specs, where `specs[i]`
     /// describes `TxnId(i)`.
+    ///
+    /// Errors name the first failing transaction by id; within one
+    /// dependency list a duplicate is reported before an unknown id or a
+    /// self dependency, and those two in ascending dependency order.
     pub fn build(specs: &[TxnSpec]) -> Result<DepDag, DagError> {
         let n = specs.len();
-        let mut preds: Vec<Vec<TxnId>> = Vec::with_capacity(n);
-        let mut succs: Vec<Vec<TxnId>> = vec![Vec::new(); n];
+        let edges: usize = specs.iter().map(|s| s.deps.len()).sum();
+        let mut preds: Csr<TxnId> = Csr::with_capacity(n, edges);
+        // Successor count per transaction, then (below) the Kahn indegree.
+        let mut counts = vec![0u32; n];
 
         for (i, spec) in specs.iter().enumerate() {
             let me = TxnId(i as u32);
-            let mut deps = spec.deps.clone();
+            preds.extend_from_slice(&spec.deps);
+            let deps = preds.open_row_mut();
             deps.sort_unstable();
             for w in deps.windows(2) {
                 if w[0] == w[1] {
                     return Err(DagError::DuplicateDependency { txn: me, dep: w[0] });
                 }
             }
-            for &d in &deps {
+            for &d in deps.iter() {
                 if d.index() >= n {
                     return Err(DagError::UnknownTxn { txn: me, dep: d });
                 }
                 if d == me {
                     return Err(DagError::SelfDependency(me));
                 }
-                succs[d.index()].push(me);
+                counts[d.index()] += 1;
             }
-            preds.push(deps);
+            preds.close_row();
         }
 
-        // Kahn's algorithm, frontier kept id-sorted for determinism.
-        let mut indegree: Vec<u32> = preds.iter().map(|p| p.len() as u32).collect();
-        let mut frontier: VecDeque<TxnId> = (0..n as u32)
-            .map(TxnId)
-            .filter(|t| indegree[t.index()] == 0)
-            .collect();
-        let mut topo = Vec::with_capacity(n);
-        while let Some(t) = frontier.pop_front() {
-            topo.push(t);
-            for &s in &succs[t.index()] {
+        // Scatter every edge into its predecessor's successor row. Visiting
+        // dependents in id order leaves each row ascending.
+        let mut succs = Csr::from_counts(&counts, TxnId(0));
+        let mut cursor = succs.starts().to_vec();
+        for i in 0..n {
+            for &d in preds.row(i) {
+                succs.items_mut()[cursor[d.index()] as usize] = TxnId(i as u32);
+                cursor[d.index()] += 1;
+            }
+        }
+
+        // Kahn's algorithm with `topo` as the FIFO frontier: it starts as
+        // the id-sorted sources and every release appends, so the order
+        // matches a queue seeded in id order.
+        for (i, c) in counts.iter_mut().enumerate() {
+            *c = preds.row(i).len() as u32;
+        }
+        let indegree = &mut counts;
+        let mut topo: Vec<TxnId> = Vec::with_capacity(n);
+        topo.extend(
+            (0..n as u32)
+                .map(TxnId)
+                .filter(|t| indegree[t.index()] == 0),
+        );
+        let mut head = 0;
+        while head < topo.len() {
+            let t = topo[head];
+            head += 1;
+            for &s in succs.row(t.index()) {
                 indegree[s.index()] -= 1;
                 if indegree[s.index()] == 0 {
-                    frontier.push_back(s);
+                    topo.push(s);
                 }
             }
         }
@@ -124,14 +161,8 @@ impl DepDag {
             return Err(DagError::Cycle(witness));
         }
 
-        let roots = (0..n as u32)
-            .map(TxnId)
-            .filter(|t| succs[t.index()].is_empty())
-            .collect();
-        let leaves = (0..n as u32)
-            .map(TxnId)
-            .filter(|t| preds[t.index()].is_empty())
-            .collect();
+        let roots = ids_where(n, |i| succs.row(i).is_empty());
+        let leaves = ids_where(n, |i| preds.row(i).is_empty());
 
         Ok(DepDag {
             preds,
@@ -151,19 +182,20 @@ impl DepDag {
     /// True iff the batch is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.preds.is_empty()
+        self.preds.len() == 0
     }
 
     /// Direct predecessors (the deduplicated dependency list) of `t`.
     #[inline]
     pub fn preds(&self, t: TxnId) -> &[TxnId] {
-        &self.preds[t.index()]
+        self.preds.row(t.index())
     }
 
-    /// Direct successors of `t` (transactions whose dependency list contains `t`).
+    /// Direct successors of `t` (transactions whose dependency list
+    /// contains `t`), ascending by id.
     #[inline]
     pub fn succs(&self, t: TxnId) -> &[TxnId] {
-        &self.succs[t.index()]
+        self.succs.row(t.index())
     }
 
     /// Workflow roots: transactions that appear in no dependency list
@@ -270,6 +302,7 @@ mod tests {
     use super::*;
     use crate::time::{SimDuration, SimTime};
     use crate::txn::Weight;
+    use proptest::prelude::*;
 
     fn spec(deps: Vec<TxnId>) -> TxnSpec {
         TxnSpec {
@@ -427,6 +460,129 @@ mod tests {
         assert_eq!(dag.roots().len(), 3);
         assert_eq!(dag.leaves().len(), 3);
         assert_eq!(dag.workflow_members(TxnId(1)), vec![TxnId(1)]);
+    }
+
+    /// The pre-CSR build, one `Vec` per list: the reference the flat
+    /// layout must reproduce list for list and error for error.
+    struct Reference {
+        preds: Vec<Vec<TxnId>>,
+        succs: Vec<Vec<TxnId>>,
+        roots: Vec<TxnId>,
+        leaves: Vec<TxnId>,
+        topo: Vec<TxnId>,
+    }
+
+    fn reference_build(specs: &[TxnSpec]) -> Result<Reference, DagError> {
+        let n = specs.len();
+        let mut preds: Vec<Vec<TxnId>> = Vec::with_capacity(n);
+        let mut succs: Vec<Vec<TxnId>> = vec![Vec::new(); n];
+        for (i, spec) in specs.iter().enumerate() {
+            let me = TxnId(i as u32);
+            let mut deps = spec.deps.clone();
+            deps.sort_unstable();
+            for w in deps.windows(2) {
+                if w[0] == w[1] {
+                    return Err(DagError::DuplicateDependency { txn: me, dep: w[0] });
+                }
+            }
+            for &d in &deps {
+                if d.index() >= n {
+                    return Err(DagError::UnknownTxn { txn: me, dep: d });
+                }
+                if d == me {
+                    return Err(DagError::SelfDependency(me));
+                }
+                succs[d.index()].push(me);
+            }
+            preds.push(deps);
+        }
+        let mut indegree: Vec<u32> = preds.iter().map(|p| p.len() as u32).collect();
+        let mut frontier: std::collections::VecDeque<TxnId> = (0..n as u32)
+            .map(TxnId)
+            .filter(|t| indegree[t.index()] == 0)
+            .collect();
+        let mut topo = Vec::new();
+        while let Some(t) = frontier.pop_front() {
+            topo.push(t);
+            for &s in &succs[t.index()] {
+                indegree[s.index()] -= 1;
+                if indegree[s.index()] == 0 {
+                    frontier.push_back(s);
+                }
+            }
+        }
+        if topo.len() != n {
+            let witness = (0..n as u32)
+                .map(TxnId)
+                .find(|t| indegree[t.index()] > 0)
+                .unwrap();
+            return Err(DagError::Cycle(witness));
+        }
+        let roots = (0..n as u32)
+            .map(TxnId)
+            .filter(|t| succs[t.index()].is_empty())
+            .collect();
+        let leaves = (0..n as u32)
+            .map(TxnId)
+            .filter(|t| preds[t.index()].is_empty())
+            .collect();
+        Ok(Reference {
+            preds,
+            succs,
+            roots,
+            leaves,
+            topo,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On random batches — acyclic or not, with unknown ids, self and
+        /// duplicate dependencies mixed in — the flat build returns exactly
+        /// the reference's lists, or exactly its error.
+        #[test]
+        fn csr_build_matches_the_vec_of_vecs_reference(
+            rows in prop::collection::vec(prop::collection::vec((0u8..10, 0u8..4), 0..4), 0..24),
+        ) {
+            // Draw kinds 0 and 1 pick an earlier id (acyclic); kind 2 an id
+            // past the batch or the transaction itself; kind 3 any id, so
+            // cycles appear. Repeated draws make duplicates.
+            let n = rows.len();
+            let specs: Vec<TxnSpec> = rows
+                .iter()
+                .enumerate()
+                .map(|(i, draws)| {
+                    let deps = draws
+                        .iter()
+                        .filter_map(|&(x, kind)| {
+                            let x = x as usize;
+                            let id = match kind {
+                                0 | 1 if i == 0 => return None,
+                                0 | 1 => x % i,
+                                2 if x < 5 => n + x,
+                                2 => i,
+                                _ => x % n,
+                            };
+                            Some(TxnId(id as u32))
+                        })
+                        .collect();
+                    spec(deps)
+                })
+                .collect();
+            match (DepDag::build(&specs), reference_build(&specs)) {
+                (Ok(dag), Ok(r)) => {
+                    for t in (0..n as u32).map(TxnId) {
+                        prop_assert_eq!(dag.preds(t), &r.preds[t.index()][..]);
+                        prop_assert_eq!(dag.succs(t), &r.succs[t.index()][..]);
+                    }
+                    prop_assert_eq!(dag.roots(), &r.roots[..]);
+                    prop_assert_eq!(dag.leaves(), &r.leaves[..]);
+                    prop_assert_eq!(dag.topological_order(), &r.topo[..]);
+                }
+                (got, want) => prop_assert_eq!(got.err(), want.err()),
+            }
+        }
     }
 
     #[test]

@@ -56,6 +56,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod csr;
 pub mod dag;
 pub mod metrics;
 pub mod obs;

@@ -96,66 +96,79 @@ pub fn routing_keys(specs: &[TxnSpec]) -> Vec<u32> {
     (0..n as u32).map(|i| find(&mut parent, i)).collect()
 }
 
+/// The shard of every transaction under the placement rule in the module
+/// docs, from routing keys alone (`keys[i]` is `TxnId(i)`'s key, as
+/// [`routing_keys`] returns them): [`partition`]'s `shard_of`, without
+/// materializing the slices.
+///
+/// # Panics
+/// If `k == 0`.
+pub fn placement(keys: &[u32], k: usize) -> Vec<u32> {
+    assert!(k >= 1, "shard count must be at least 1");
+    let mut size = vec![0u32; keys.len()];
+    for &key in keys {
+        size[key as usize] += 1;
+    }
+    // LPT placement: largest component first (ties toward the smaller
+    // routing key), onto the least-loaded shard (ties toward the smaller
+    // shard index).
+    let mut order: Vec<u32> = (0..keys.len() as u32)
+        .filter(|&key| size[key as usize] > 0)
+        .collect();
+    order.sort_unstable_by_key(|&key| (std::cmp::Reverse(size[key as usize]), key));
+    let mut load = vec![0usize; k];
+    let mut shard_of_key = vec![0u32; keys.len()];
+    for key in order {
+        let target = (0..k).min_by_key(|&s| (load[s], s)).expect("k >= 1");
+        load[target] += size[key as usize] as usize;
+        shard_of_key[key as usize] = target as u32;
+    }
+    keys.iter().map(|&key| shard_of_key[key as usize]).collect()
+}
+
 /// Partition `specs` onto `k` shards, keeping every dependency component
 /// whole. See the module docs for the placement rule.
 ///
 /// # Panics
 /// If `k == 0`.
 pub fn partition(specs: &[TxnSpec], k: usize) -> ShardPlan {
-    assert!(k >= 1, "shard count must be at least 1");
     let n = specs.len();
-    let keys = routing_keys(specs);
-
-    // Components in routing-key order, members ascending (ids are scanned
-    // in order and appended).
-    let mut members_of: std::collections::BTreeMap<u32, Vec<u32>> =
-        std::collections::BTreeMap::new();
-    for (i, &key) in keys.iter().enumerate() {
-        members_of.entry(key).or_default().push(i as u32);
-    }
-
-    // LPT placement: largest component first (ties toward the smaller
-    // routing key), onto the least-loaded shard (ties toward the smaller
-    // shard index).
-    let mut order: Vec<(&u32, &Vec<u32>)> = members_of.iter().collect();
-    order.sort_by_key(|(key, members)| (std::cmp::Reverse(members.len()), **key));
-    let mut shard_members: Vec<Vec<u32>> = vec![Vec::new(); k];
-    let mut load = vec![0usize; k];
-    for (_, members) in order {
-        let target = (0..k).min_by_key(|&s| (load[s], s)).expect("k >= 1");
-        load[target] += members.len();
-        shard_members[target].extend_from_slice(members);
-    }
+    let shard_of = placement(&routing_keys(specs), k);
 
     // Materialize slices: members ascending so local order preserves global
     // order (and k == 1 is the identity mapping).
-    let mut shard_of = vec![0u32; n];
+    let mut to_global: Vec<Vec<TxnId>> = vec![Vec::new(); k];
     let mut to_local = vec![0u32; n];
-    let mut slices = Vec::with_capacity(k);
-    for (s, mut members) in shard_members.into_iter().enumerate() {
-        members.sort_unstable();
-        for (local, &g) in members.iter().enumerate() {
-            shard_of[g as usize] = s as u32;
-            to_local[g as usize] = local as u32;
-        }
-        let mut slice_specs = Vec::with_capacity(members.len());
-        for &g in &members {
-            let mut spec = specs[g as usize].clone();
-            for d in &mut spec.deps {
-                if d.index() < n {
-                    *d = TxnId(to_local[d.index()]);
-                }
-                // Out-of-range deps are preserved as-is: they are invalid in
-                // any id space and DepDag::build will reject the slice just
-                // as it rejects the original batch.
-            }
-            slice_specs.push(spec);
-        }
-        slices.push(ShardSlice {
-            specs: slice_specs,
-            to_global: members.into_iter().map(TxnId).collect(),
-        });
+    for (g, &s) in shard_of.iter().enumerate() {
+        let members = &mut to_global[s as usize];
+        to_local[g] = members.len() as u32;
+        members.push(TxnId(g as u32));
     }
+    let slices = to_global
+        .into_iter()
+        .map(|members| {
+            let specs = members
+                .iter()
+                .map(|&g| {
+                    let mut spec = specs[g.index()].clone();
+                    for d in &mut spec.deps {
+                        if d.index() < n {
+                            *d = TxnId(to_local[d.index()]);
+                        }
+                        // Out-of-range deps are preserved as-is: they are
+                        // invalid in any id space and DepDag::build will
+                        // reject the slice just as it rejects the original
+                        // batch.
+                    }
+                    spec
+                })
+                .collect();
+            ShardSlice {
+                specs,
+                to_global: members,
+            }
+        })
+        .collect();
     ShardPlan { slices, shard_of }
 }
 
@@ -454,8 +467,49 @@ mod tests {
         moves
     }
 
+    /// LPT over member lists grouped by key, as `partition` placed
+    /// components before `placement` worked from sizes alone.
+    fn member_list_placement(specs: &[TxnSpec], k: usize) -> Vec<u32> {
+        let keys = routing_keys(specs);
+        let mut members_of: std::collections::BTreeMap<u32, Vec<u32>> = Default::default();
+        for (i, &key) in keys.iter().enumerate() {
+            members_of.entry(key).or_default().push(i as u32);
+        }
+        let mut order: Vec<(&u32, &Vec<u32>)> = members_of.iter().collect();
+        order.sort_by_key(|(key, members)| (std::cmp::Reverse(members.len()), **key));
+        let mut shard_of = vec![0u32; specs.len()];
+        let mut load = vec![0usize; k];
+        for (_, members) in order {
+            let target = (0..k).min_by_key(|&s| (load[s], s)).expect("k >= 1");
+            load[target] += members.len();
+            for &m in members {
+                shard_of[m as usize] = target as u32;
+            }
+        }
+        shard_of
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Placing by component size alone matches placing member lists.
+        #[test]
+        fn placement_matches_member_list_lpt(
+            deps in proptest::collection::vec(proptest::collection::vec(0u32..40, 0..3), 0..40),
+            k in 1usize..6,
+        ) {
+            let specs: Vec<TxnSpec> = deps
+                .iter()
+                .enumerate()
+                .map(|(i, d)| {
+                    let earlier: Vec<u32> = d.iter().filter(|&&x| (x as usize) < i).copied().collect();
+                    dep(0, &earlier)
+                })
+                .collect();
+            let shard_of = placement(&routing_keys(&specs), k);
+            prop_assert_eq!(&shard_of, &member_list_placement(&specs, k));
+            prop_assert_eq!(&shard_of, &partition(&specs, k).shard_of);
+        }
 
         /// Dropping candidates wider than the spread never changes the plan.
         #[test]

@@ -24,6 +24,7 @@
 //!   event is still in the future is unknown to an online scheduler, so it
 //!   cannot contribute its deadline or weight yet.
 
+use crate::csr::{self, Csr};
 use crate::policy::{LifecycleEvent, Ratio};
 use crate::table::TxnTable;
 use crate::time::{SimDuration, SimTime, Slack};
@@ -92,14 +93,21 @@ impl Representative {
 }
 
 /// The static workflow structure extracted from a transaction batch.
+///
+/// Member lists and each transaction's workflow list are stored flat
+/// ([`Csr`]), so the build costs a constant number of allocations however
+/// many workflows the batch has.
 #[derive(Debug, Clone)]
 pub struct WorkflowSet {
-    /// Per-workflow member lists (sorted by id).
-    members: Vec<Vec<TxnId>>,
+    /// Row `w` = members of workflow `w`, sorted by id.
+    members: Csr<TxnId>,
     /// Per-workflow root transaction.
     roots: Vec<TxnId>,
-    /// Per-transaction list of workflows it belongs to.
-    of_txn: Vec<Vec<WfId>>,
+    /// Row `t` = workflows containing transaction `t`, ascending.
+    of_txn: Csr<WfId>,
+    /// Parallel to `of_txn`'s items: `t`'s position in each containing
+    /// workflow's member list.
+    pos_in: Vec<u32>,
 }
 
 impl WorkflowSet {
@@ -111,22 +119,45 @@ impl WorkflowSet {
     /// O(Σ members), not O(roots × n).
     pub fn build(table: &TxnTable) -> WorkflowSet {
         let dag = table.dag();
+        let n = table.len();
         let roots: Vec<TxnId> = dag.roots().to_vec();
-        let mut members = Vec::with_capacity(roots.len());
-        let mut of_txn: Vec<Vec<WfId>> = vec![Vec::new(); table.len()];
-        let mut stamp = vec![0u32; table.len()];
+        // Σ members is at least n (every transaction is in a workflow) and
+        // exactly n when no member is shared.
+        let mut members: Csr<TxnId> = Csr::with_capacity(roots.len(), n);
+        let mut stamp = vec![0u32; n];
+        let mut walk = Vec::new();
         for (w, &root) in roots.iter().enumerate() {
-            let mut m = Vec::new();
-            dag.workflow_members_stamped(root, &mut stamp, w as u32 + 1, &mut m);
-            for &t in &m {
-                of_txn[t.index()].push(WfId(w as u32));
+            dag.workflow_members_stamped(root, &mut stamp, w as u32 + 1, &mut walk);
+            members.extend_from_slice(&walk);
+            members.close_row();
+        }
+        // Invert member lists into per-transaction workflow lists, scanning
+        // workflows in id order so each row ascends. `stamp` is reused for
+        // the row lengths, then as the scatter cursor.
+        let counts = &mut stamp;
+        counts.fill(0);
+        for w in 0..members.len() {
+            for &t in members.row(w) {
+                counts[t.index()] += 1;
             }
-            members.push(m);
+        }
+        let mut of_txn = Csr::from_counts(counts, WfId(0));
+        let mut pos_in = vec![0u32; of_txn.items_mut().len()];
+        let cursor = counts;
+        cursor.copy_from_slice(of_txn.starts());
+        for w in 0..members.len() {
+            for (pos, &t) in members.row(w).iter().enumerate() {
+                let slot = cursor[t.index()] as usize;
+                of_txn.items_mut()[slot] = WfId(w as u32);
+                pos_in[slot] = pos as u32;
+                cursor[t.index()] += 1;
+            }
         }
         WorkflowSet {
             members,
             roots,
             of_txn,
+            pos_in,
         }
     }
 
@@ -139,7 +170,7 @@ impl WorkflowSet {
     /// True iff there are no workflows (empty batch).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+        self.members.len() == 0
     }
 
     /// All workflow ids.
@@ -150,7 +181,7 @@ impl WorkflowSet {
     /// Members of workflow `w`, sorted by transaction id.
     #[inline]
     pub fn members(&self, w: WfId) -> &[TxnId] {
-        &self.members[w.index()]
+        self.members.row(w.index())
     }
 
     /// Root transaction of workflow `w`.
@@ -159,10 +190,17 @@ impl WorkflowSet {
         self.roots[w.index()]
     }
 
-    /// Workflows containing transaction `t` (at least one).
+    /// Workflows containing transaction `t` (at least one), ascending.
     #[inline]
     pub fn workflows_of(&self, t: TxnId) -> &[WfId] {
-        &self.of_txn[t.index()]
+        self.of_txn.row(t.index())
+    }
+
+    /// Parallel to [`WorkflowSet::workflows_of`]: `t`'s position in each
+    /// containing workflow's member list.
+    #[inline]
+    fn positions_of(&self, t: TxnId) -> &[u32] {
+        &self.pos_in[self.of_txn.range(t.index())]
     }
 
     /// The representative transaction of `w` right now, or `None` when the
@@ -247,79 +285,69 @@ impl WorkflowSet {
 }
 
 /// A subtree summary that can absorb a sibling's summary. Implementors are
-/// the node types of [`SegTree`].
+/// the node types of the [`seg`] trees.
 trait Merge: Copy + PartialEq {
     fn merge(a: Self, b: Self) -> Self;
 }
 
-/// A values-only segment tree over member positions: each node summarizes
-/// its subtree via [`Merge`], so a member phase change is a single O(log n)
-/// walk on one flat vector (no allocation after construction) and every
-/// whole-workflow query is an O(1) root read. Fusing all of a workflow's
-/// aggregates into one node type is what keeps per-event index maintenance
-/// to one walk instead of one per aggregate.
-#[derive(Debug, Clone)]
-struct SegTree<T: Merge> {
-    /// `nodes[i]` = merged summary of the subtree rooted at `i` (`None` when
-    /// no present member below). Leaves live at `nodes[n + pos]`.
-    nodes: Vec<Option<T>>,
-    n: usize,
-}
+/// Values-only segment trees over member positions, each stored as a
+/// node slice of `2·n` nodes in an arena shared by every workflow: node `i`
+/// summarizes its subtree via [`Merge`] (`None` when no present member is
+/// below), leaves live at `n + pos`, and the root at 1. A member phase
+/// change is a single O(log n) walk on one flat slice (no allocation after
+/// construction) and every whole-workflow query is an O(1) root read.
+/// Fusing all of a workflow's aggregates into one node type is what keeps
+/// per-event index maintenance to one walk instead of one per aggregate.
+mod seg {
+    use super::Merge;
 
-impl<T: Merge> SegTree<T> {
-    fn new(len: usize) -> Self {
-        let n = len.max(1);
-        SegTree {
-            nodes: vec![None; 2 * n],
-            n,
+    #[inline]
+    fn merged<T: Merge>(a: Option<T>, b: Option<T>) -> Option<T> {
+        match (a, b) {
+            (Some(a), Some(b)) => Some(T::merge(a, b)),
+            (a, b) => a.or(b),
         }
     }
 
     /// Set (or clear, with `None`) the leaf at `pos` and re-merge the path
     /// to the root. Free when the leaf is unchanged (zero-service requeues).
-    fn set(&mut self, pos: u32, v: Option<T>) {
-        let mut i = self.n + pos as usize;
-        if self.nodes[i] == v {
+    pub(super) fn set<T: Merge>(nodes: &mut [Option<T>], pos: u32, v: Option<T>) {
+        let mut i = nodes.len() / 2 + pos as usize;
+        if nodes[i] == v {
             return;
         }
-        self.nodes[i] = v;
+        nodes[i] = v;
         while i > 1 {
             i >>= 1;
-            self.nodes[i] = match (self.nodes[2 * i], self.nodes[2 * i + 1]) {
-                (Some(a), Some(b)) => Some(T::merge(a, b)),
-                (a, b) => a.or(b),
-            };
+            nodes[i] = merged(nodes[2 * i], nodes[2 * i + 1]);
         }
     }
 
     /// Write a leaf *without* re-merging its path — must be followed by a
-    /// [`SegTree::rebuild`] before any query, which is why bulk callers go
-    /// through [`WorkflowIndex::apply_batch`] rather than calling this.
+    /// [`rebuild`] before any query, which is why bulk callers go through
+    /// [`super::WorkflowIndex::apply_batch`] rather than calling this.
     #[inline]
-    fn set_leaf(&mut self, pos: u32, v: Option<T>) {
-        self.nodes[self.n + pos as usize] = v;
+    pub(super) fn set_leaf<T: Merge>(nodes: &mut [Option<T>], pos: u32, v: Option<T>) {
+        nodes[nodes.len() / 2 + pos as usize] = v;
     }
 
     /// Re-merge every internal node bottom-up in O(n) — the bulk twin of
     /// k per-leaf `set` walks (k·O(log n)), profitable once `k·log₂ n ≳ n`.
-    fn rebuild(&mut self) {
-        for i in (1..self.n).rev() {
-            self.nodes[i] = match (self.nodes[2 * i], self.nodes[2 * i + 1]) {
-                (Some(a), Some(b)) => Some(T::merge(a, b)),
-                (a, b) => a.or(b),
-            };
+    pub(super) fn rebuild<T: Merge>(nodes: &mut [Option<T>]) {
+        for i in (1..nodes.len() / 2).rev() {
+            nodes[i] = merged(nodes[2 * i], nodes[2 * i + 1]);
         }
     }
 
     #[inline]
-    fn leaf(&self, pos: u32) -> Option<T> {
-        self.nodes[self.n + pos as usize]
+    pub(super) fn leaf<T: Merge>(nodes: &[Option<T>], pos: u32) -> Option<T> {
+        nodes[nodes.len() / 2 + pos as usize]
     }
 
     /// The merged summary over every present member.
     #[inline]
-    fn root(&self) -> Option<T> {
-        self.nodes[1]
+    pub(super) fn root<T: Merge>(nodes: &[Option<T>]) -> Option<T> {
+        nodes[1]
     }
 }
 
@@ -336,6 +364,18 @@ struct Agg {
     rem: u64,
     /// Weight.
     w: u32,
+}
+
+impl Agg {
+    /// Visible member `t`'s contribution.
+    #[inline]
+    fn leaf(table: &TxnTable, t: TxnId) -> Agg {
+        Agg {
+            dl: table.deadline(t).ticks(),
+            rem: table.remaining(t).ticks(),
+            w: table.weight(t).get(),
+        }
+    }
 }
 
 impl Merge for Agg {
@@ -418,7 +458,10 @@ impl Merge for FrontNode {
 /// Trees are keyed by the member's *position* within the workflow's
 /// id-sorted member list, which keeps the per-workflow storage dense (total
 /// memory is O(Σ members), not O(workflows × transactions)) and makes
-/// frontier tie-breaks coincide with the naive scans' id tie-breaks.
+/// frontier tie-breaks coincide with the naive scans' id tie-breaks. Every
+/// workflow's aggregate tree lives in one node arena and every frontier
+/// tree in a second, at the same per-workflow base offsets, so building
+/// the index costs a constant number of allocations.
 ///
 /// The owner drives it from the policy hooks ([`WorkflowIndex::on_visible`],
 /// [`WorkflowIndex::on_ready`], [`WorkflowIndex::on_requeue`],
@@ -430,17 +473,17 @@ impl Merge for FrontNode {
 /// test below and the cross-policy oracle tests.
 #[derive(Debug, Clone)]
 pub struct WorkflowIndex {
-    /// `pos_of[t]` is parallel to `WorkflowSet::workflows_of(t)`: the
-    /// position of `t` in each containing workflow's member list.
-    pos_of: Vec<Vec<u32>>,
+    /// Workflow `w`'s trees span `tree_off[w]..tree_off[w + 1]` in both
+    /// arenas: `2·max(len, 1)` nodes each.
+    tree_off: Vec<u32>,
     /// Representative aggregates over visible members, one tree per workflow.
-    aggs: Vec<SegTree<Agg>>,
+    aggs: Vec<Option<Agg>>,
     /// Head rules the owner declared at construction (deduplicated). The
     /// fused [`FrontNode`] answers every rule; the list only enforces the
     /// contract that queries name a declared rule.
     rules: Vec<HeadRule>,
     /// Ready frontier of each workflow, all head rules fused per node.
-    fronts: Vec<SegTree<FrontNode>>,
+    fronts: Vec<Option<FrontNode>>,
     /// Per-workflow maintenance mode for the `apply_batch` in flight
     /// (`MODE_IDLE` between calls): scratch, so batches allocate nothing.
     batch_agg_mode: Vec<u32>,
@@ -476,18 +519,17 @@ impl WorkflowIndex {
                 dedup.push(r);
             }
         }
-        let mut pos_of: Vec<Vec<u32>> = vec![Vec::new(); wfs.of_txn.len()];
+        let mut tree_off = Vec::with_capacity(wfs.len() + 1);
+        let mut nodes = 0usize;
+        tree_off.push(0);
         for w in wfs.ids() {
-            for (pos, &t) in wfs.members(w).iter().enumerate() {
-                // workflows_of(t) lists workflows in ascending id order (the
-                // build order), and so does this loop: the vectors align.
-                pos_of[t.index()].push(pos as u32);
-            }
+            nodes += 2 * wfs.members(w).len().max(1);
+            tree_off.push(csr::offset(nodes));
         }
         WorkflowIndex {
-            pos_of,
-            aggs: wfs.members.iter().map(|m| SegTree::new(m.len())).collect(),
-            fronts: wfs.members.iter().map(|m| SegTree::new(m.len())).collect(),
+            tree_off,
+            aggs: vec![None; nodes],
+            fronts: vec![None; nodes],
             rules: dedup,
             batch_agg_mode: vec![MODE_IDLE; wfs.len()],
             batch_front_mode: vec![MODE_IDLE; wfs.len()],
@@ -513,13 +555,19 @@ impl WorkflowIndex {
         );
     }
 
+    /// Where workflow `wi`'s trees live in the arenas.
+    #[inline]
+    fn tree(&self, wi: usize) -> std::ops::Range<usize> {
+        self.tree_off[wi] as usize..self.tree_off[wi + 1] as usize
+    }
+
     /// `t` became visible while still blocked (blocked arrival): it joins
     /// the aggregate queues of its workflows but no frontier.
     pub fn on_visible(&mut self, t: TxnId, wfs: &WorkflowSet, table: &TxnTable) {
-        for i in 0..wfs.workflows_of(t).len() {
-            let wi = wfs.workflows_of(t)[i].index();
-            let pos = self.pos_of[t.index()][i];
-            self.insert_aggregates(wi, pos, t, table);
+        let agg = Some(Agg::leaf(table, t));
+        for (&w, &pos) in wfs.workflows_of(t).iter().zip(wfs.positions_of(t)) {
+            let tree = self.tree(w.index());
+            seg::set(&mut self.aggs[tree], pos, agg);
         }
     }
 
@@ -527,13 +575,17 @@ impl WorkflowIndex {
     /// a release of a previously blocked member. Joins the aggregates if
     /// absent, and every frontier.
     pub fn on_ready(&mut self, t: TxnId, wfs: &WorkflowSet, table: &TxnTable) {
-        for i in 0..wfs.workflows_of(t).len() {
-            let wi = wfs.workflows_of(t)[i].index();
-            let pos = self.pos_of[t.index()][i];
-            if self.aggs[wi].leaf(pos).is_none() {
-                self.insert_aggregates(wi, pos, t, table);
+        for (&w, &pos) in wfs.workflows_of(t).iter().zip(wfs.positions_of(t)) {
+            let tree = self.tree(w.index());
+            let aggs = &mut self.aggs[tree.clone()];
+            if seg::leaf(aggs, pos).is_none() {
+                seg::set(aggs, pos, Some(Agg::leaf(table, t)));
             }
-            self.fronts[wi].set(pos, Some(FrontNode::leaf(pos, table, t)));
+            seg::set(
+                &mut self.fronts[tree],
+                pos,
+                Some(FrontNode::leaf(pos, table, t)),
+            );
         }
     }
 
@@ -544,23 +596,26 @@ impl WorkflowIndex {
     /// are remaining-dependent; deadline and weight leaves are static.
     pub fn on_requeue(&mut self, t: TxnId, wfs: &WorkflowSet, table: &TxnTable) {
         let rem = table.remaining(t).ticks();
-        for i in 0..wfs.workflows_of(t).len() {
-            let wi = wfs.workflows_of(t)[i].index();
-            let pos = self.pos_of[t.index()][i];
-            let mut agg = self.aggs[wi].leaf(pos).expect("requeued member is visible");
+        for (&w, &pos) in wfs.workflows_of(t).iter().zip(wfs.positions_of(t)) {
+            let tree = self.tree(w.index());
+            let aggs = &mut self.aggs[tree.clone()];
+            let mut agg = seg::leaf(aggs, pos).expect("requeued member is visible");
             agg.rem = rem;
-            self.aggs[wi].set(pos, Some(agg));
-            self.fronts[wi].set(pos, Some(FrontNode::leaf(pos, table, t)));
+            seg::set(aggs, pos, Some(agg));
+            seg::set(
+                &mut self.fronts[tree],
+                pos,
+                Some(FrontNode::leaf(pos, table, t)),
+            );
         }
     }
 
     /// `t` completed: leaves both trees of every containing workflow.
     pub fn on_complete(&mut self, t: TxnId, wfs: &WorkflowSet) {
-        for i in 0..wfs.workflows_of(t).len() {
-            let wi = wfs.workflows_of(t)[i].index();
-            let pos = self.pos_of[t.index()][i];
-            self.aggs[wi].set(pos, None);
-            self.fronts[wi].set(pos, None);
+        for (&w, &pos) in wfs.workflows_of(t).iter().zip(wfs.positions_of(t)) {
+            let tree = self.tree(w.index());
+            seg::set(&mut self.aggs[tree.clone()], pos, None);
+            seg::set(&mut self.fronts[tree], pos, None);
         }
     }
 
@@ -610,38 +665,27 @@ impl WorkflowIndex {
         // the hook replay).
         for &ev in events {
             let t = ev.txn();
-            for i in 0..wfs.workflows_of(t).len() {
-                let wi = wfs.workflows_of(t)[i].index();
-                let pos = self.pos_of[t.index()][i];
+            for (&w, &pos) in wfs.workflows_of(t).iter().zip(wfs.positions_of(t)) {
+                let wi = w.index();
+                let tree = self.tree(wi);
                 let (agg, front) = match ev {
                     LifecycleEvent::Complete(_) => (None, Some(None)),
                     LifecycleEvent::Ready(_) | LifecycleEvent::Requeue(_) => (
-                        Some(Agg {
-                            dl: table.deadline(t).ticks(),
-                            rem: table.remaining(t).ticks(),
-                            w: table.weight(t).get(),
-                        }),
+                        Some(Agg::leaf(table, t)),
                         Some(Some(FrontNode::leaf(pos, table, t))),
                     ),
-                    LifecycleEvent::BlockedArrival(_) => (
-                        Some(Agg {
-                            dl: table.deadline(t).ticks(),
-                            rem: table.remaining(t).ticks(),
-                            w: table.weight(t).get(),
-                        }),
-                        None,
-                    ),
+                    LifecycleEvent::BlockedArrival(_) => (Some(Agg::leaf(table, t)), None),
                 };
                 if self.batch_agg_mode[wi] == MODE_BULK {
-                    self.aggs[wi].set_leaf(pos, agg);
+                    seg::set_leaf(&mut self.aggs[tree.clone()], pos, agg);
                 } else {
-                    self.aggs[wi].set(pos, agg);
+                    seg::set(&mut self.aggs[tree.clone()], pos, agg);
                 }
                 if let Some(front) = front {
                     if self.batch_front_mode[wi] == MODE_BULK {
-                        self.fronts[wi].set_leaf(pos, front);
+                        seg::set_leaf(&mut self.fronts[tree], pos, front);
                     } else {
-                        self.fronts[wi].set(pos, front);
+                        seg::set(&mut self.fronts[tree], pos, front);
                     }
                 }
             }
@@ -649,31 +693,23 @@ impl WorkflowIndex {
         // Rebuild the bulk-mode trees and reset the scratch.
         for &w in &touched[base..] {
             let wi = w.index();
+            let tree = self.tree(wi);
             if self.batch_agg_mode[wi] == MODE_BULK {
-                self.aggs[wi].rebuild();
+                seg::rebuild(&mut self.aggs[tree.clone()]);
             }
             if self.batch_front_mode[wi] == MODE_BULK {
-                self.fronts[wi].rebuild();
+                seg::rebuild(&mut self.fronts[tree]);
             }
             self.batch_agg_mode[wi] = MODE_IDLE;
             self.batch_front_mode[wi] = MODE_IDLE;
         }
     }
 
-    fn insert_aggregates(&mut self, wi: usize, pos: u32, t: TxnId, table: &TxnTable) {
-        let agg = Agg {
-            dl: table.deadline(t).ticks(),
-            rem: table.remaining(t).ticks(),
-            w: table.weight(t).get(),
-        };
-        self.aggs[wi].set(pos, Some(agg));
-    }
-
     /// True iff `w` has a ready member (Definition 8 head exists) — an O(1)
     /// root check, replacing the `head(w, .., FirstById)` scan.
     #[inline]
     pub fn is_schedulable(&self, w: WfId) -> bool {
-        self.fronts[w.index()].root().is_some()
+        seg::root(&self.fronts[self.tree(w.index())]).is_some()
     }
 
     /// The head of `w` under `rule` — an O(1) root read. Equals
@@ -683,7 +719,7 @@ impl WorkflowIndex {
     /// If `rule` was not named at construction.
     pub fn head(&self, w: WfId, wfs: &WorkflowSet, rule: HeadRule) -> Option<TxnId> {
         self.assert_maintained(rule);
-        let node = self.fronts[w.index()].root()?;
+        let node = seg::root(&self.fronts[self.tree(w.index())])?;
         let pos = match rule {
             HeadRule::EarliestDeadline => node.dl_pos,
             HeadRule::HighestDensity => node.dens_pos,
@@ -697,7 +733,7 @@ impl WorkflowIndex {
     /// over the visible members. Equals [`WorkflowSet::representative`] at
     /// every hook/select point.
     pub fn representative(&self, w: WfId) -> Option<Representative> {
-        let agg = self.aggs[w.index()].root()?;
+        let agg = seg::root(&self.aggs[self.tree(w.index())])?;
         Some(Representative {
             deadline: SimTime::from_ticks(agg.dl),
             remaining: SimDuration::from_ticks(agg.rem),
@@ -1114,8 +1150,9 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
         /// The stamped build collects exactly each root's
-        /// [`DepDag::workflow_members`] (sorted by id), and every
-        /// transaction's workflow list ascends.
+        /// [`DepDag::workflow_members`] (sorted by id), every
+        /// transaction's workflow list ascends, and every stored position
+        /// maps back to its transaction.
         ///
         /// [`DepDag::workflow_members`]: crate::dag::DepDag::workflow_members
         #[test]
@@ -1134,6 +1171,10 @@ mod proptests {
             }
             for t in tbl.ids() {
                 prop_assert_eq!(wfs.workflows_of(t), &of_txn[t.index()][..]);
+                prop_assert_eq!(wfs.positions_of(t).len(), wfs.workflows_of(t).len());
+                for (&w, &pos) in wfs.workflows_of(t).iter().zip(wfs.positions_of(t)) {
+                    prop_assert_eq!(wfs.members(w)[pos as usize], t);
+                }
             }
         }
     }

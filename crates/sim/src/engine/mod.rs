@@ -129,11 +129,14 @@ impl<S: Scheduler, P: Pump> Engine<S, P> {
         Ok(Self::from_table(table, policy, pump))
     }
 
-    /// Build an engine over an already-validated table. The sharded
-    /// runtimes instantiate K identical full-batch engines; validating the
-    /// batch once and handing each engine a cheap clone of the master table
-    /// (spec and DAG storage is shared, see [`TxnTable`]) keeps per-shard
-    /// setup proportional to state, not to batch description.
+    /// Build an engine over an already-validated table. Callers that need
+    /// the table before the engine exists — `simulate` and the sharded
+    /// runtimes build the policy from it — hand that same table over, so a
+    /// run validates its batch and builds its DAG once. The threaded
+    /// driver's K full-batch engines each take a cheap clone of one master
+    /// table (spec and DAG storage is shared, see [`TxnTable`]), which
+    /// keeps per-shard setup proportional to state, not to batch
+    /// description.
     pub(crate) fn from_table(table: TxnTable, policy: S, pump: P) -> Self {
         Engine {
             table,

@@ -5,7 +5,7 @@
 //! under several policies and compare" ([`compare_policies`]). Both wrap
 //! [`Engine`] with the policy factory from `asets-core`.
 
-use crate::engine::{Engine, SimResult};
+use crate::engine::{Engine, EventPump, SimResult};
 use asets_core::dag::DagError;
 use asets_core::policy::{PolicyKind, Scheduler};
 use asets_core::table::TxnTable;
@@ -13,19 +13,24 @@ use asets_core::txn::TxnSpec;
 
 /// Run `specs` to completion under `kind`.
 pub fn simulate(specs: Vec<TxnSpec>, kind: PolicyKind) -> Result<SimResult, DagError> {
-    // The factory needs a table to derive workflow structure; building it
-    // twice (here and in the engine) keeps the factory signature simple and
-    // costs O(n) once per run.
-    let table = TxnTable::new(specs.clone())?;
-    let policy = kind.build(&table);
-    Ok(Engine::new(specs, policy)?.run())
+    Ok(engine_for(specs, kind)?.run())
 }
 
 /// Run `specs` under `kind` with trace recording.
 pub fn simulate_traced(specs: Vec<TxnSpec>, kind: PolicyKind) -> Result<SimResult, DagError> {
-    let table = TxnTable::new(specs.clone())?;
+    Ok(engine_for(specs, kind)?.with_trace().run())
+}
+
+/// One table built from the moved specs serves both the policy factory
+/// (workflow structure) and the engine.
+fn engine_for(
+    specs: Vec<TxnSpec>,
+    kind: PolicyKind,
+) -> Result<Engine<Box<dyn Scheduler>>, DagError> {
+    let table = TxnTable::new(specs)?;
     let policy = kind.build(&table);
-    Ok(Engine::new(specs, policy)?.with_trace().run())
+    let pump = EventPump::new(table.specs());
+    Ok(Engine::from_table(table, policy, pump))
 }
 
 /// Run `specs` under a caller-constructed policy (custom configurations).
@@ -42,9 +47,7 @@ pub fn simulate_observed(
     kind: PolicyKind,
     obs: asets_core::obs::SharedObserver,
 ) -> Result<SimResult, DagError> {
-    let table = TxnTable::new(specs.clone())?;
-    let policy = kind.build(&table);
-    Ok(Engine::new(specs, policy)?
+    Ok(engine_for(specs, kind)?
         .with_trace()
         .with_observer(obs)
         .run())

@@ -311,7 +311,7 @@ impl<P: SpecPump> ShardedRuntime<P> {
     /// Run every shard to completion and merge.
     ///
     /// Dependency errors (unknown ids, cycles) are detected on the *global*
-    /// batch before any thread spawns, so the error carries global ids.
+    /// batch before any shard engine runs, so the error carries global ids.
     pub fn run(self) -> Result<ShardedResult, DagError> {
         self.run_inner(|_shard, _table| NoopObserver, false)
             .map(|(result, _obs)| result)
@@ -338,10 +338,6 @@ impl<P: SpecPump> ShardedRuntime<P> {
         O: Observer + Send + 'static,
         F: Fn(usize, &TxnTable) -> O + Sync,
     {
-        // Validate the whole batch first: per-shard tables rebuild their
-        // local DAGs, but those never fail after this (partitioning keeps
-        // every dependency inside its shard).
-        DepDag::build(&self.specs)?;
         if let Some(cfg) = self.rebalance.filter(|_| self.shards > 1) {
             return self.run_threaded(make, attach, cfg);
         }
@@ -358,11 +354,13 @@ impl<P: SpecPump> ShardedRuntime<P> {
         if self.shards == 1 {
             // Inline fast path: the plan is the identity, so skip the
             // partition pass and the remap/merge machinery entirely. The
-            // batch moves into `run_shard` unchanged, which keeps this path
-            // within noise of the plain engine (the shard_gate bench
-            // enforces it).
+            // batch moves into the shard's table unchanged — that build is
+            // the validation, in global ids — which keeps this path within
+            // noise of the plain engine (the shard_gate bench enforces it).
+            let table = TxnTable::new(self.specs)?;
             let (result, obs) =
-                run_shard::<P, O>(self.specs, kind, knobs, |table| make(0, table), attach);
+                ShardEngine::<P, O>::new(table, kind, knobs, |table| make(0, table), attach)
+                    .finish_with(Engine::run);
             return Ok((
                 ShardedResult {
                     merged: result.clone(),
@@ -378,6 +376,10 @@ impl<P: SpecPump> ShardedRuntime<P> {
             ));
         }
 
+        // Validate the whole batch first, so errors carry global ids:
+        // per-shard tables rebuild their local DAGs, but those never fail
+        // after this (partitioning keeps every dependency inside its shard).
+        DepDag::build(&self.specs)?;
         let plan = partition(&self.specs, self.shards);
         let shard_of = plan.shard_of;
         // Move each slice's specs into its thread; keep the id maps back
@@ -695,14 +697,23 @@ mod tests {
 
     #[test]
     fn global_dag_errors_surface_with_global_ids() {
-        let specs = vec![ind(0, 5, 1), dep(0, 5, 1, &[7])];
-        let err = ShardedRuntime::new(specs, PolicyKind::Edf)
-            .shards(2)
-            .run()
-            .unwrap_err();
-        match err {
-            DagError::UnknownTxn { txn, .. } => assert_eq!(txn, TxnId(1)),
-            other => panic!("expected UnknownTxn, got {other:?}"),
+        // Static K=2 validates the global batch up front; K=1 and the
+        // rebalanced driver validate by building their one table from it.
+        let bad = || vec![ind(0, 5, 1), dep(0, 5, 1, &[7])];
+        let runs = [
+            ShardedRuntime::new(bad(), PolicyKind::Edf).shards(2),
+            ShardedRuntime::new(bad(), PolicyKind::Edf),
+            ShardedRuntime::new(bad(), PolicyKind::Edf)
+                .shards(2)
+                .rebalance(RebalanceConfig::migrate_every(units(5))),
+        ];
+        for rt in runs {
+            match rt.run().unwrap_err() {
+                DagError::UnknownTxn { txn, dep } => {
+                    assert_eq!((txn, dep), (TxnId(1), TxnId(7)))
+                }
+                other => panic!("expected UnknownTxn, got {other:?}"),
+            }
         }
     }
 

@@ -8,8 +8,8 @@
 //! shard's owned arrivals. Each shard thread steps its own engine through
 //! an *epoch window* `[B, B')` without talking to anyone, and all
 //! cross-shard traffic — migration payloads, steal grants — takes effect
-//! only at window boundaries, where a [`std::sync::Barrier`] lines the
-//! threads up. Between boundaries the only sharing is bounded lock-free
+//! only at window boundaries, where a [`ShardBarrier`] lines the threads
+//! up. Between boundaries the only sharing is bounded lock-free
 //! SPSC rings ([`Chan`], the [`crate::live::IngestRing`] idiom generalized
 //! to typed messages), and rings are *written during* a window but *read
 //! after* the next barrier, so every message is ordered by barrier
@@ -104,7 +104,7 @@ use crate::sharded::{
 use asets_core::dag::DagError;
 use asets_core::obs::Observer;
 use asets_core::policy::PolicyKind;
-use asets_core::shard::{partition, plan_rebalance, routing_keys, ComponentMove, MovableComponent};
+use asets_core::shard::{placement, plan_rebalance, routing_keys, ComponentMove, MovableComponent};
 use asets_core::table::TxnTable;
 use asets_core::time::SimTime;
 use asets_core::txn::{TxnId, TxnSpec};
@@ -112,7 +112,7 @@ use std::cell::UnsafeCell;
 use std::collections::BTreeMap;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Slots per cross-shard ring. Bounds every round's traffic: the leader
 /// budgets migration payloads per channel (see [`Shared::mig_budget`]) and
@@ -187,6 +187,100 @@ impl<T: Copy> Chan<T> {
         let value = unsafe { (*self.slots[head % self.slots.len()].get()).assume_init() };
         self.head.store(head.wrapping_add(1), Ordering::Release);
         Some(value)
+    }
+}
+
+/// The round barrier: `std::sync::Barrier` plus poisoning.
+///
+/// A shard that panics mid-round never reaches its next barrier, so with a
+/// plain barrier its peers would wait forever and the scoped run would
+/// never return. Each worker holds a [`PoisonOnUnwind`] guard instead:
+/// unwinding poisons the barrier, which wakes every waiter, and every wait
+/// from then on panics naming the failed shard — the run fails instead of
+/// hanging. One mutex and one condvar, one `notify_all` per crossing, as
+/// in the standard barrier.
+struct ShardBarrier {
+    state: Mutex<BarrierState>,
+    crossed: Condvar,
+    parties: usize,
+}
+
+struct BarrierState {
+    /// Threads waiting in the current crossing.
+    arrived: usize,
+    /// Completed crossings; a waiter leaves once this moves.
+    generation: u64,
+    /// The first shard that panicked, once one has.
+    failed: Option<usize>,
+}
+
+impl ShardBarrier {
+    /// A barrier for `parties` threads.
+    fn new(parties: usize) -> ShardBarrier {
+        ShardBarrier {
+            state: Mutex::new(BarrierState {
+                arrived: 0,
+                generation: 0,
+                failed: None,
+            }),
+            crossed: Condvar::new(),
+            parties,
+        }
+    }
+
+    /// Block until every party has called `wait` for this crossing.
+    ///
+    /// # Panics
+    /// If a shard panicked before or during the wait.
+    fn wait(&self) {
+        // The mutex guards only counters that every step leaves valid, and
+        // poisoning is reported through `failed`, so a poisoned lock is
+        // recovered rather than treated as a second failure.
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let generation = st.generation;
+        if st.failed.is_none() {
+            st.arrived += 1;
+            if st.arrived == self.parties {
+                st.arrived = 0;
+                st.generation += 1;
+                self.crossed.notify_all();
+                return;
+            }
+            while st.generation == generation && st.failed.is_none() {
+                st = self
+                    .crossed
+                    .wait(st)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+        if st.generation == generation {
+            let failed = st.failed.expect("a waiter leaves early only on poison");
+            drop(st);
+            panic!("shard {failed} panicked; abandoning the threaded run");
+        }
+    }
+
+    /// Mark `shard` as failed and wake every waiter. Never panics: it runs
+    /// while `shard` unwinds.
+    fn poison(&self, shard: usize) {
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        st.failed.get_or_insert(shard);
+        self.crossed.notify_all();
+    }
+}
+
+/// Poisons the round barrier if its shard thread unwinds (see
+/// [`ShardBarrier`]).
+struct PoisonOnUnwind<'a> {
+    barrier: &'a ShardBarrier,
+    shard: usize,
+}
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.barrier.poison(self.shard);
+        }
     }
 }
 
@@ -357,7 +451,7 @@ struct Shared<'a> {
     /// double-buffered by round parity so a drain never shares a ring with
     /// a faster neighbour's next-round pushes.
     chans: &'a [Vec<Vec<Chan<Msg>>>; 2],
-    barrier: &'a Barrier,
+    barrier: &'a ShardBarrier,
     reports: &'a [Mutex<Option<Report>>],
     plan_slot: &'a Mutex<Option<Plan>>,
     /// Component membership by routing key, members ascending.
@@ -382,11 +476,15 @@ impl<P: SpecPump> ShardedRuntime<P> {
         O: Observer + Send + 'static,
         F: Fn(usize, &TxnTable) -> O + Sync,
     {
-        let n = self.specs.len();
         let k = self.shards;
-        let keys = routing_keys(&self.specs);
-        let static_plan = partition(&self.specs, k);
-        let shard_of = static_plan.shard_of;
+        // One master table built from the moved specs — its build is the
+        // batch's validation, in global ids; each worker thread gets a
+        // cheap clone (shared spec/DAG storage, fresh state) instead of
+        // re-validating the full batch K times.
+        let master = TxnTable::new(self.specs)?;
+        let n = master.len();
+        let keys = routing_keys(master.specs());
+        let shard_of = placement(&keys, k);
         let mut comp_members: BTreeMap<u32, Vec<TxnId>> = BTreeMap::new();
         for (i, &key) in keys.iter().enumerate() {
             comp_members.entry(key).or_default().push(TxnId(i as u32));
@@ -397,7 +495,7 @@ impl<P: SpecPump> ShardedRuntime<P> {
                 .map(|_| (0..k).map(|_| Chan::new(MSG_RING_CAPACITY)).collect())
                 .collect()
         });
-        let barrier = Barrier::new(k);
+        let barrier = ShardBarrier::new(k);
         let reports: Vec<Mutex<Option<Report>>> = (0..k).map(|_| Mutex::new(None)).collect();
         let plan_slot: Mutex<Option<Plan>> = Mutex::new(None);
         let shared = Shared {
@@ -419,10 +517,6 @@ impl<P: SpecPump> ShardedRuntime<P> {
             backlog: self.backlog,
         };
         let kind = self.kind;
-        // One validated master table; each worker thread gets a cheap clone
-        // (shared spec/DAG storage, fresh state) instead of re-validating
-        // the full batch K times.
-        let master = TxnTable::new(self.specs.clone()).expect("validated global batch");
         let master_ref = &master;
         let make = &make;
         let shared_ref = &shared;
@@ -509,6 +603,10 @@ fn run_worker<P: SpecPump, O: Observer + 'static>(
     make: impl FnOnce(&TxnTable) -> O,
     attach: bool,
 ) -> (SimResult, O, RebalanceStats) {
+    let _poison = PoisonOnUnwind {
+        barrier: shared.barrier,
+        shard: s,
+    };
     // Shard 0 leads, so it alone keeps the movable index.
     let mut index =
         (s == 0).then(|| MovableIndex::new(shared.comp_members, table.specs(), shared.shard_of));
@@ -543,9 +641,6 @@ fn run_worker<P: SpecPump, O: Observer + 'static>(
     let mut req_buf: Vec<PendingReq> = Vec::new();
     let mut candidates: Vec<TxnId> = Vec::new();
     let mut entries: Vec<(SimTime, TxnId)> = Vec::new();
-    // The first round whose load gauge disagreed with the scan, if any:
-    // (round, gauge, scan). Test and debug builds only.
-    let mut drift: Option<(u64, u64, u64)> = None;
     // Members leaving this shard at a boundary, and each outbound
     // component's destination by routing key.
     let mut outbound: Vec<TxnId> = Vec::new();
@@ -636,15 +731,15 @@ fn run_worker<P: SpecPump, O: Observer + 'static>(
         // Report phase: boundary snapshot for the leader, O(1). While the
         // accounting is exact `foreign` never exceeds the table's remaining
         // sum, so the subtraction never saturates; test builds check the
-        // gauge against the scan every round and fail once the run is over,
-        // because a shard panicking mid-protocol would strand its peers at
-        // the barrier.
+        // gauge against the scan every round (a failure poisons the
+        // barrier, so the whole run fails).
         let load = engine.table().remaining_ticks().saturating_sub(foreign);
-        if cfg!(any(test, debug_assertions)) && drift.is_none() {
+        if cfg!(any(test, debug_assertions)) {
             let scanned = scanned_load(engine.table(), &owned);
-            if load != scanned {
-                drift = Some((epoch_idx, load, scanned));
-            }
+            assert_eq!(
+                load, scanned,
+                "load gauge drifted from the remaining-work scan on shard {s} in round {epoch_idx}"
+            );
         }
         let report = Report {
             load,
@@ -774,10 +869,6 @@ fn run_worker<P: SpecPump, O: Observer + 'static>(
         horizon = plan.next_boundary;
         epoch_idx += 1;
     }
-    assert!(
-        drift.is_none(),
-        "load gauge drifted from the remaining-work scan on shard {s}: (round, gauge, scan) = {drift:?}"
-    );
 
     let (result, obs) = shard.finish_with(Engine::finish);
     (result, obs, stats)
@@ -1130,6 +1221,46 @@ mod tests {
         }
         assert_eq!(comps, reb.migrated_components);
         assert_eq!(txns, reb.migrated_txns);
+    }
+
+    #[test]
+    fn threaded_shard_panic_fails_the_run_instead_of_hanging() {
+        // Shard 1's observer panics at its third epoch, mid-round; its
+        // peers must fail at their next barrier rather than wait forever.
+        struct PanicAt {
+            shard: usize,
+            epochs: u32,
+        }
+        impl Observer for PanicAt {
+            fn on_epoch(
+                &mut self,
+                _events: &[asets_core::policy::LifecycleEvent],
+                _summary: &asets_core::obs::EpochSummary,
+            ) {
+                self.epochs += 1;
+                assert!(
+                    self.shard != 1 || self.epochs < 3,
+                    "observer failure on shard 1"
+                );
+            }
+        }
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let run = std::panic::catch_unwind(|| {
+                let mut specs = skewed_specs();
+                specs.extend((0..40).map(|i| ind(i, 200, 3)));
+                let cfg = RebalanceConfig::migrate_every(units(2)).with_steal(2);
+                ShardedRuntime::new(specs, asets_core::policy::PolicyKind::Edf)
+                    .shards(3)
+                    .rebalance(cfg)
+                    .run_observed(|shard, _table| PanicAt { shard, epochs: 0 })
+            });
+            let _ = done.send(run.is_err());
+        });
+        let panicked = finished
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the threaded run hung after a shard panicked");
+        assert!(panicked, "the run must fail when a shard panics");
     }
 
     #[test]

@@ -8,13 +8,15 @@
 //! why it lives in its own integration-test binary), warms an AsetsStar
 //! engine through most of a chain-heavy run, then asserts the remaining
 //! steps allocate nothing — with one server, and with two, where every
-//! point fills its slots through `select_many`'s top-k walk.
+//! point fills its slots through `select_many`'s top-k walk. Setting up a
+//! run (table, policy, pump) must take a number of allocator calls that
+//! does not grow with the batch.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use asets_core::prelude::*;
-use asets_sim::Engine;
+use asets_sim::{Engine, EventPump};
 
 struct CountingAlloc;
 
@@ -123,6 +125,31 @@ fn assert_steady_state_does_not_allocate(servers: usize) {
     while engine.step() {}
     let result = engine.run();
     assert_eq!(result.stats.completed, n as u64);
+}
+
+/// Allocator calls to build one run's table, ASETS\* policy and event
+/// pump over `specs` (built beforehand, outside the count).
+fn build_alloc_calls(specs: Vec<TxnSpec>) -> u64 {
+    let before = alloc_calls();
+    let table = TxnTable::new(specs).expect("acyclic");
+    let policy = PolicyKind::asets_star().build(&table);
+    let pump = EventPump::new(table.specs());
+    let calls = alloc_calls() - before;
+    drop((table, policy, pump));
+    calls
+}
+
+#[test]
+fn run_setup_allocations_do_not_grow_with_the_batch() {
+    // The batch's static structure (DAG, workflow sets, workflow index) is
+    // stored flat, so a ten times larger batch costs the same allocator
+    // calls up to a few growth steps of the workflow walk's scratch.
+    let small = build_alloc_calls(chain_workload(1_200, 4));
+    let large = build_alloc_calls(chain_workload(12_000, 4));
+    assert!(
+        large.abs_diff(small) <= 4,
+        "building a 4800- and a 48000-transaction run took {small} and {large} allocator calls"
+    );
 }
 
 #[test]
