@@ -61,7 +61,7 @@ fn ids_where(n: usize, keep: impl Fn(usize) -> bool) -> Vec<TxnId> {
 
 /// An immutable, validated dependency DAG.
 ///
-/// Predecessor and successor lists are stored flat ([`Csr`]), so a build
+/// Predecessor and successor lists are stored flat (`Csr`), so a build
 /// costs a constant number of allocations however large the batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DepDag {

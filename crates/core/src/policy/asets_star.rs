@@ -85,55 +85,6 @@ enum Side {
     Hdf,
 }
 
-/// How long the memoized decision below stays replayable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CachedKind {
-    /// At most one list was populated (or none): the outcome reads nothing
-    /// time-dependent, so it holds at any later instant.
-    Unopposed,
-    /// Two-sided Paper-rule comparison won by the EDF side. Holds at any
-    /// later instant: `impact(A first) = r_head(A)·w(B)` is static while
-    /// the tops are untouched, and `impact(B first) = (r_head(B) −
-    /// s_rep(A))·w(A)` only grows as `now` advances (slack shrinks), so a
-    /// strict `<` stays strict.
-    EdfWinPaper,
-    /// Any other two-sided outcome — the HDF side winning, or a
-    /// Symmetric-rule comparison where both impacts move with `now` — is
-    /// only replayable at the exact decision instant.
-    AtInstant,
-}
-
-/// The memoized outcome of the last Fig. 7 evaluation.
-///
-/// A decision reads only the two list tops: their tree keys, their
-/// representatives, their heads, and the heads' remaining times. Every
-/// mutation of those flows through a refresh of the owning workflow (which
-/// drops the cache when it touches a cached top — see `note_refresh`) or
-/// through `migrate`, which moves list membership without changing any
-/// representative and is therefore caught by comparing the live tree tops
-/// against the snapshot here. On a snapshot match the replay window is
-/// per-[`CachedKind`].
-///
-/// With an observer attached the cache stays live: `rec` keeps the
-/// decision record of the original evaluation, and a replay re-derives the
-/// record a fresh evaluation would have produced at `now` — candidate
-/// slacks decay linearly while the tops are untouched (any service,
-/// completion or re-key of a top flows through `note_refresh` and drops
-/// the entry), so the replayed record is exactly what `decide` would emit,
-/// at cache-hit cost.
-#[derive(Debug, Clone, Copy)]
-struct CacheEntry {
-    /// `(key, id)` tops of the two lists when the decision was made.
-    edf_top: Option<(u64, u32)>,
-    hdf_top: Option<(Reverse<Ratio>, u32)>,
-    chosen: Option<TxnId>,
-    kind: CachedKind,
-    at: SimTime,
-    /// The decision record emitted at `at` (observer attached and a
-    /// transaction was chosen), the template a replay re-derives from.
-    rec: Option<DecisionRecord>,
-}
-
 /// Workflow-level ASETS\* scheduler.
 ///
 /// Per-event work is `O(k · log)` where `k` is the number of workflows
@@ -163,10 +114,6 @@ pub struct AsetsStar {
     /// Decision-provenance sink (detached by default; the hot path then
     /// pays a single branch per decision).
     obs: ObserverSlot,
-    /// The last Fig. 7 outcome, replayed while provably still valid.
-    cache: Option<CacheEntry>,
-    /// Cache replays so far (ablation/telemetry).
-    cache_hits: u64,
     /// Scratch for `migrate` and `on_batch` (retained capacity: the
     /// steady-state loop allocates nothing).
     drained: Vec<(u64, u32)>,
@@ -197,8 +144,6 @@ impl AsetsStar {
             latest_start: MinTree::new(n),
             side: vec![Side::Out; n],
             obs: ObserverSlot::empty(),
-            cache: None,
-            cache_hits: 0,
             drained: Vec::new(),
             touched: Vec::new(),
             edf_ups: Vec::new(),
@@ -253,7 +198,6 @@ impl AsetsStar {
     /// unchanged (the common case: most events don't move a workflow's
     /// aggregate minima).
     fn refresh(&mut self, w: WfId, now: SimTime) {
-        self.note_refresh(w);
         let prev_side = self.side[w.index()];
         let rep = if self.index.is_schedulable(w) {
             self.index.representative(w)
@@ -306,19 +250,6 @@ impl AsetsStar {
         }
     }
 
-    /// Workflow `w` is about to be re-keyed: if it is one of the cached
-    /// decision's list tops, its representative or head may change without
-    /// moving the tree top, so the cache must go. Tops that *move* are
-    /// caught by the snapshot comparison in `cached_choice` instead.
-    fn note_refresh(&mut self, w: WfId) {
-        if let Some(c) = &self.cache {
-            let is_top = |top: Option<u32>| top == Some(w.0);
-            if is_top(c.edf_top.map(|(_, id)| id)) || is_top(c.hdf_top.map(|(_, id)| id)) {
-                self.cache = None;
-            }
-        }
-    }
-
     /// `refresh`, staged for the batched path: instead of walking each
     /// tree's O(log W) update path immediately, push the new keys into the
     /// per-tree scratch so `flush_list_updates` can pick, per tree, between
@@ -327,7 +258,6 @@ impl AsetsStar {
     /// epoch (the `touched` list is deduplicated), so entry order within the
     /// scratch is immaterial.
     fn refresh_into(&mut self, w: WfId, now: SimTime) {
-        self.note_refresh(w);
         let prev = self.side[w.index()];
         let rep = if self.index.is_schedulable(w) {
             self.index.representative(w)
@@ -394,24 +324,11 @@ impl AsetsStar {
         flush_tree(&mut self.hdf, &mut self.hdf_ups, cap);
     }
 
-    /// Fig. 7 replays skipped via the decision cache (ablation/telemetry).
+    /// Always 0: the policy keeps no decision cache, because a select only
+    /// compares the two list tops. Kept for callers that report cache hits
+    /// (perfbench's timing adapter).
     pub fn decision_cache_hits(&self) -> u64 {
-        self.cache_hits
-    }
-
-    /// The cached chosen transaction, if the cache is still provably valid
-    /// at `now` (see [`CacheEntry`]). `None` means "re-evaluate".
-    fn cached_choice(&self, now: SimTime) -> Option<Option<TxnId>> {
-        let c = self.cache.as_ref()?;
-        if self.edf.peek() != c.edf_top || self.hdf.peek() != c.hdf_top {
-            return None;
-        }
-        let valid = match c.kind {
-            CachedKind::Unopposed => true,
-            CachedKind::EdfWinPaper => now >= c.at,
-            CachedKind::AtInstant => now == c.at,
-        };
-        valid.then_some(c.chosen)
+        0
     }
 
     /// Move EDF-List workflows whose representative can no longer meet its
@@ -488,17 +405,10 @@ impl AsetsStar {
     }
 
     /// Build and emit a one-sided decision record (only one list
-    /// populated), returning it for the decision cache.
-    fn observe_unopposed(
-        &self,
-        table: &TxnTable,
-        now: SimTime,
-        w: WfId,
-        head: TxnId,
-        edf: bool,
-    ) -> Option<DecisionRecord> {
+    /// populated).
+    fn observe_unopposed(&self, table: &TxnTable, now: SimTime, w: WfId, head: TxnId, edf: bool) {
         if !self.obs.is_attached() {
-            return None;
+            return;
         }
         let rep = self.index.representative(w).expect("listed wf has a rep");
         let cand = self.wf_candidate(w, head, &rep, table, now);
@@ -519,30 +429,23 @@ impl AsetsStar {
             hdf_len: self.hdf.len() as u32,
         };
         self.obs.emit(|o| o.decision(&rec));
-        Some(rec)
     }
 
-    /// The Fig. 7 decision between the two list tops, plus how long the
-    /// outcome stays replayable and the decision record it emitted (for
-    /// the decision cache).
-    fn decide(
-        &self,
-        table: &TxnTable,
-        now: SimTime,
-    ) -> (Option<TxnId>, CachedKind, Option<DecisionRecord>) {
+    /// The Fig. 7 decision between the two list tops.
+    fn decide(&self, table: &TxnTable, now: SimTime) -> Option<TxnId> {
         let edf_top = self.edf.peek_id().map(WfId);
         let hdf_top = self.hdf.peek_id().map(WfId);
         match (edf_top, hdf_top) {
-            (None, None) => (None, CachedKind::Unopposed, None),
+            (None, None) => None,
             (Some(a), None) => {
                 let head = self.head_of(a, self.cfg.edf_head);
-                let rec = self.observe_unopposed(table, now, a, head, true);
-                (Some(head), CachedKind::Unopposed, rec)
+                self.observe_unopposed(table, now, a, head, true);
+                Some(head)
             }
             (None, Some(b)) => {
                 let head = self.head_of(b, self.cfg.hdf_head);
-                let rec = self.observe_unopposed(table, now, b, head, false);
-                (Some(head), CachedKind::Unopposed, rec)
+                self.observe_unopposed(table, now, b, head, false);
+                Some(head)
             }
             (Some(a), Some(b)) => {
                 let head_a = self.head_of(a, self.cfg.edf_head);
@@ -553,9 +456,8 @@ impl AsetsStar {
                     impact_values(self.cfg.impact, table, now, head_a, &rep_a, head_b, &rep_b);
                 let edf_first = impact_a < impact_b;
                 let chosen = if edf_first { head_a } else { head_b };
-                let mut rec = None;
                 if self.obs.is_attached() {
-                    let r = DecisionRecord {
+                    let rec = DecisionRecord {
                         at: now,
                         rule: self.decision_rule(),
                         edf: Some(self.wf_candidate(a, head_a, &rep_a, table, now)),
@@ -567,58 +469,11 @@ impl AsetsStar {
                         edf_len: self.edf.len() as u32,
                         hdf_len: self.hdf.len() as u32,
                     };
-                    self.obs.emit(|o| o.decision(&r));
-                    rec = Some(r);
+                    self.obs.emit(|o| o.decision(&rec));
                 }
-                let kind = if edf_first && self.cfg.impact == ImpactRule::Paper {
-                    CachedKind::EdfWinPaper
-                } else {
-                    CachedKind::AtInstant
-                };
-                (Some(chosen), kind, rec)
+                Some(chosen)
             }
         }
-    }
-
-    /// Emit the decision record a fresh evaluation would produce at `now`,
-    /// re-derived from the cached record instead of the trees — the
-    /// observer-attached half of a cache hit.
-    ///
-    /// Exactness argument: cache validity means neither top was re-keyed
-    /// (`note_refresh`) nor displaced (top snapshot), so both heads, reps,
-    /// remaining times and weights are unchanged since `at`; the only
-    /// time-dependent inputs are the representatives' slacks, which decay
-    /// linearly with `now`. Re-deriving the impacts from the decayed
-    /// candidates via the same formulas as [`impact_values`] therefore
-    /// reproduces a fresh `decide` bit for bit (the winner cannot flip
-    /// inside the replay window — that is what [`CachedKind`] pins).
-    fn emit_replay(&self, now: SimTime) {
-        let Some(c) = &self.cache else { return };
-        let Some(mut rec) = c.rec else { return };
-        let dt = (now - c.at).ticks() as i128;
-        if let Some(cand) = &mut rec.edf {
-            cand.slack = crate::time::Slack::from_ticks(cand.slack.ticks() - dt);
-        }
-        if let Some(cand) = &mut rec.hdf {
-            cand.slack = crate::time::Slack::from_ticks(cand.slack.ticks() - dt);
-        }
-        rec.at = now;
-        // List lengths may drift below the tops without invalidating the
-        // cache; report the live ones, like a fresh evaluation would.
-        rec.edf_len = self.edf.len() as u32;
-        rec.hdf_len = self.hdf.len() as u32;
-        if rec.is_comparison() {
-            if let (Some(a), Some(b)) = (rec.edf, rec.hdf) {
-                let (r_a, r_b) = (a.r.ticks() as i128, b.r.ticks() as i128);
-                let (w_a, w_b) = (a.weight as i128, b.weight as i128);
-                rec.impact_edf = match self.cfg.impact {
-                    ImpactRule::Paper => r_a * w_b,
-                    ImpactRule::Symmetric => (r_a - b.slack.ticks()) * w_b,
-                };
-                rec.impact_hdf = (r_b - a.slack.ticks()) * w_a;
-            }
-        }
-        self.obs.emit(|o| o.decision(&rec));
     }
 }
 
@@ -735,25 +590,7 @@ impl Scheduler for AsetsStar {
 
     fn select(&mut self, table: &TxnTable, now: SimTime) -> Option<TxnId> {
         self.migrate(now);
-        if let Some(chosen) = self.cached_choice(now) {
-            self.cache_hits += 1;
-            // Observed runs replay the cached record re-derived at `now`
-            // instead of bypassing the cache (see `emit_replay`).
-            if self.obs.is_attached() {
-                self.emit_replay(now);
-            }
-            return chosen;
-        }
-        let (chosen, kind, rec) = self.decide(table, now);
-        self.cache = Some(CacheEntry {
-            edf_top: self.edf.peek(),
-            hdf_top: self.hdf.peek(),
-            chosen,
-            kind,
-            at: now,
-            rec,
-        });
-        chosen
+        self.decide(table, now)
     }
 
     fn select_many(&mut self, table: &TxnTable, now: SimTime, slots: usize, out: &mut Vec<TxnId>) {
@@ -771,8 +608,7 @@ impl Scheduler for AsetsStar {
         // same negative-impact test `select` applies to the tops. Heads
         // already taken (the first pick, or a sub-transaction shared between
         // workflows) are skipped so the engine's distinctness invariant
-        // holds. The trees are never mutated, so the decision cache written
-        // by `select` above stays valid.
+        // holds.
         let mut edf_tops = std::mem::take(&mut self.mf_edf);
         let mut hdf_tops = std::mem::take(&mut self.mf_hdf);
         edf_tops.clear();
@@ -847,9 +683,6 @@ impl Scheduler for AsetsStar {
 
     fn attach_observer(&mut self, obs: crate::obs::SharedObserver) {
         self.obs.attach(obs);
-        // A mid-run attach must not replay an entry cached unobserved (its
-        // `rec` is `None`, so the replay would emit nothing).
-        self.cache = None;
     }
 }
 

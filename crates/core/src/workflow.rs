@@ -95,7 +95,7 @@ impl Representative {
 /// The static workflow structure extracted from a transaction batch.
 ///
 /// Member lists and each transaction's workflow list are stored flat
-/// ([`Csr`]), so the build costs a constant number of allocations however
+/// (`Csr`), so the build costs a constant number of allocations however
 /// many workflows the batch has.
 #[derive(Debug, Clone)]
 pub struct WorkflowSet {

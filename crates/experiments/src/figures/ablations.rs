@@ -18,7 +18,7 @@ use asets_core::policy::{AsetsStar, AsetsStarConfig, ImpactRule, PolicyKind};
 use asets_core::table::TxnTable;
 use asets_core::txn::TxnSpec;
 use asets_core::workflow::HeadRule;
-use asets_sim::simulate_with;
+use asets_sim::{Engine, EventPump};
 use asets_workload::scenarios::submit_pages_together;
 use asets_workload::{generate, TableISpec, WorkflowParams};
 
@@ -171,9 +171,10 @@ fn run_custom_averaged(
         if let Some(t) = transform {
             t(&mut specs);
         }
-        let table = TxnTable::new(specs.clone()).expect("acyclic");
+        let table = TxnTable::new(specs).expect("acyclic");
         let policy = AsetsStar::new(&table, cfg_star);
-        simulate_with(specs, policy).expect("acyclic").summary
+        let pump = EventPump::new(table.specs());
+        Engine::from_table(table, policy, pump).run().summary
     });
     MetricsSummary::mean_of_runs(&runs)
 }

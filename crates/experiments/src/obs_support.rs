@@ -17,7 +17,7 @@ use asets_core::table::TxnTable;
 use asets_core::time::SimDuration;
 use asets_core::txn::TxnSpec;
 use asets_obs::{FlightRecorder, SloMonitor, SpanRecorder, Timeline};
-use asets_sim::{Engine, SimResult};
+use asets_sim::{Engine, EventPump, SimResult};
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
@@ -42,10 +42,11 @@ pub fn run_observed(
     kind: PolicyKind,
     capacity: usize,
 ) -> Result<(SimResult, FlightRecorder), asets_core::dag::DagError> {
-    let table = TxnTable::new(specs.clone())?;
+    let table = TxnTable::new(specs)?;
     let policy = kind.build(&table);
+    let pump = EventPump::new(table.specs());
     let rec = FlightRecorder::shared(capacity);
-    let result = Engine::new(specs, policy)?
+    let result = Engine::from_table(table, policy, pump)
         .with_trace()
         .with_backlog_sampling(SimDuration::from_units_int(1))
         .with_observer(share(&rec))

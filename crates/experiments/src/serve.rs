@@ -10,10 +10,11 @@
 //!    that drop on a full ring — arrivals don't wait) or **closed-loop**
 //!    ([`asets_workload::sessions`] emulated users that request, wait for
 //!    the page to settle on the [`JobBoard`], think, repeat);
-//! 3. drive a [`LivePump`]-backed engine on the calling thread with a
-//!    [`SloMonitor`] observer, emitting windowed miss-ratio/tardiness
-//!    reports (Prometheus text + JSONL) at a fixed wall cadence — the
-//!    pump's idle heartbeat guarantees the reporter never stalls;
+//! 3. drive a [`LivePump`](asets_sim::LivePump)-backed engine on the
+//!    calling thread with a [`SloMonitor`] observer, emitting windowed
+//!    miss-ratio/tardiness reports (Prometheus text + JSONL) at a fixed
+//!    wall cadence — the pump's idle heartbeat guarantees the reporter
+//!    never stalls;
 //! 4. join everything and fold the run into a [`ServeReport`] the CI gate
 //!    and tests assert against.
 //!
@@ -447,8 +448,7 @@ pub fn run_serve_with(
         }
         None => share(&monitor),
     };
-    let mut engine = Engine::with_pump(universe.specs.clone(), policy, pump)
-        .map_err(|e| format!("{e}"))?
+    let mut engine = Engine::from_table(table, policy, pump)
         .with_servers(cfg.servers)
         .with_observer(observer);
 

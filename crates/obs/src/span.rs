@@ -12,7 +12,7 @@
 //! [`EnginePhase`]. Each dispatch edge is stamped with the sequence number
 //! of the flight-recorder decision that caused it: the collector counts
 //! ring-bound events (decisions, migrations, dispatches) exactly like
-//! [`FlightRecorder`](crate::FlightRecorder) assigns sequence numbers, so
+//! [`FlightRecorder`] assigns sequence numbers, so
 //! when both observe the same stream — see [`SpanRecorder`] — the stamp
 //! indexes straight into `flight.jsonl`.
 //!

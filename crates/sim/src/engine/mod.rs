@@ -49,7 +49,7 @@ pub mod pool;
 pub mod pump;
 
 pub use pool::{Running, ServerPool};
-pub use pump::{EventPump, Pump, SpecPump};
+pub use pump::{EventPump, Pump};
 
 use crate::stats::{BacklogSample, BacklogSeries, EpochStats, RunStats};
 use crate::trace::{Trace, TraceEvent};
@@ -130,14 +130,13 @@ impl<S: Scheduler, P: Pump> Engine<S, P> {
     }
 
     /// Build an engine over an already-validated table. Callers that need
-    /// the table before the engine exists — `simulate` and the sharded
-    /// runtimes build the policy from it — hand that same table over, so a
-    /// run validates its batch and builds its DAG once. The threaded
-    /// driver's K full-batch engines each take a cheap clone of one master
-    /// table (spec and DAG storage is shared, see [`TxnTable`]), which
-    /// keeps per-shard setup proportional to state, not to batch
-    /// description.
-    pub(crate) fn from_table(table: TxnTable, policy: S, pump: P) -> Self {
+    /// the table before the engine exists — to build the policy from it —
+    /// hand that same table over, so a run validates its batch and builds
+    /// its DAG once. The threaded driver's K full-batch engines each take a
+    /// cheap clone of one master table (spec and DAG storage is shared, see
+    /// [`TxnTable`]), which keeps per-shard setup proportional to state,
+    /// not to batch description.
+    pub fn from_table(table: TxnTable, policy: S, pump: P) -> Self {
         Engine {
             table,
             policy,
@@ -601,15 +600,10 @@ impl<S: Scheduler, P: Pump> Engine<S, P> {
     // over one *global* spec batch: every engine holds the full table, but
     // its pump delivers only the shard's owned arrivals. These
     // crate-internal hooks expose exactly what its barrier rounds need —
-    // the clock, windowed stepping, load gauges, pump surgery for epoch
-    // migration, and the victim half of a steal (the thief admits a grant
-    // as a calendar arrival).
-
-    /// Restrict the pump to arrivals passing `keep` (shard ownership).
-    /// Must be called before the first step.
-    pub(crate) fn restrict_arrivals(&mut self, mut keep: impl FnMut(TxnId) -> bool) {
-        self.pump.retain_arrivals(&mut keep);
-    }
+    // the clock, windowed stepping, load gauges, and the victim half of a
+    // steal (the thief admits a grant as a calendar arrival). Pump surgery
+    // for epoch migration follows in its own block: the driver runs only
+    // simulated shards, so it exists on the `EventPump` engine alone.
 
     /// The engine's next scheduling point, with the same completion >
     /// arrival > wakeup fold as [`Engine::step`] but no stall panic: a
@@ -671,17 +665,6 @@ impl<S: Scheduler, P: Pump> Engine<S, P> {
         self.policy.on_stolen(t, &self.table, now);
     }
 
-    /// Extract the pending arrivals of `ids` (sorted ascending) for
-    /// migration to another shard; appends `(time, id)` entries to `out`.
-    pub(crate) fn extract_arrivals(&mut self, ids: &[TxnId], out: &mut Vec<(SimTime, TxnId)>) {
-        self.pump.extract_arrivals(ids, out);
-    }
-
-    /// Admit arrival entries extracted from another shard.
-    pub(crate) fn admit_arrivals(&mut self, entries: &[(SimTime, TxnId)]) {
-        self.pump.admit_arrivals(entries);
-    }
-
     /// Final report over whatever completed on this engine's table: the
     /// whole batch in a solo run, the shard's final share when
     /// rebalanced, or the admitted-and-finished subset of a live serve
@@ -699,6 +682,25 @@ impl<S: Scheduler, P: Pump> Engine<S, P> {
             backlog: self.backlog.map(|(_, series)| series),
             epochs: self.epoch,
         }
+    }
+}
+
+impl<S: Scheduler> Engine<S> {
+    /// Restrict the pump to arrivals passing `keep` (shard ownership).
+    /// Must be called before the first step.
+    pub(crate) fn restrict_arrivals(&mut self, keep: impl FnMut(TxnId) -> bool) {
+        self.pump.retain_arrivals(keep);
+    }
+
+    /// Extract the pending arrivals of `ids` (sorted ascending) for
+    /// migration to another shard; appends `(time, id)` entries to `out`.
+    pub(crate) fn extract_arrivals(&mut self, ids: &[TxnId], out: &mut Vec<(SimTime, TxnId)>) {
+        self.pump.extract_arrivals(ids, out);
+    }
+
+    /// Admit arrival entries extracted from another shard.
+    pub(crate) fn admit_arrivals(&mut self, entries: &[(SimTime, TxnId)]) {
+        self.pump.admit_arrivals(entries);
     }
 }
 

@@ -28,10 +28,10 @@ use asets_core::txn::{TxnId, TxnSpec};
 ///   and the policy wake-up with the pump's own next arrival into the next
 ///   scheduling point (tie order: completion > arrival > wakeup);
 /// * [`Pump::take_due_into`] / [`Pump::exhausted`] — batched arrival
-///   delivery;
-/// * the calendar-surgery ops ([`Pump::retain_arrivals`],
-///   [`Pump::extract_arrivals`], [`Pump::admit_arrivals`]) the rebalanced
-///   sharded runtime uses for epoch migration.
+///   delivery.
+///
+/// The calendar surgery the rebalanced sharded runtime needs for epoch
+/// migration is [`EventPump`]'s own: only simulated shards trade arrivals.
 ///
 /// `REAL_TIME` distinguishes the wall-clock pump: the engine rebases
 /// arrival specs to the delivery instant (an online request's SLA clock
@@ -74,26 +74,6 @@ pub trait Pump {
     /// ignores it (the default is a no-op the optimizer deletes).
     #[inline]
     fn note_completed(&mut self, _t: TxnId) {}
-
-    /// Restrict the calendar to arrivals passing `keep` (rebalanced
-    /// sharding: each shard's pump delivers only its owned transactions).
-    fn retain_arrivals(&mut self, keep: &mut dyn FnMut(TxnId) -> bool);
-
-    /// Extract the pending arrivals of `ids` (sorted ascending) for
-    /// migration to another shard's pump; appends the entries to `out`.
-    fn extract_arrivals(&mut self, ids: &[TxnId], out: &mut Vec<(SimTime, TxnId)>);
-
-    /// Admit arrival entries extracted from another shard's pump.
-    fn admit_arrivals(&mut self, entries: &[(SimTime, TxnId)]);
-}
-
-/// A [`Pump`] that can be built from a spec batch — what the runner and
-/// the sharded runtime need to construct engines themselves. The
-/// wall-clock pump is deliberately *not* one of these: it is built from a
-/// live front-end (rings, admission config), not from a calendar.
-pub trait SpecPump: Pump + Sized {
-    /// A pump whose arrival calendar is the batch's declared arrivals.
-    fn from_specs(specs: &[TxnSpec]) -> Self;
 }
 
 /// Clock and arrival-source for one engine, in simulated time.
@@ -112,46 +92,6 @@ impl EventPump {
             now: SimTime::ZERO,
             last_event: SimTime::ZERO,
         }
-    }
-
-    /// The current simulated instant.
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// The next scheduling point given the dispatch layer's earliest
-    /// completion and the policy wake-up request, or `None` when no event
-    /// is pending anywhere (which the engine treats as a stall if work
-    /// remains). Tie order per [`next_event`]: completion, arrival, wakeup.
-    /// Borrows `&self`: peeking never moves the clock.
-    pub fn peek_point(
-        &self,
-        completion: Option<SimTime>,
-        wakeup: Option<SimTime>,
-    ) -> Option<(SimTime, EventKind)> {
-        next_event(completion, self.arrivals.peek_time(), wakeup)
-    }
-
-    /// Advance the clock to `t` (the scheduling point being processed) and
-    /// return the gap since the previous point.
-    pub fn advance(&mut self, t: SimTime) -> SimDuration {
-        debug_assert!(t >= self.now, "time went backwards");
-        self.now = t;
-        let gap = t - self.last_event;
-        self.last_event = t;
-        gap
-    }
-
-    /// Deliver every arrival due at the current instant into a caller-owned
-    /// buffer (appends), in id order.
-    pub fn take_due_into(&mut self, due: &mut Vec<TxnId>) {
-        self.arrivals.pop_due_into(self.now, due);
-    }
-
-    /// True iff every arrival has been delivered.
-    pub fn exhausted(&self) -> bool {
-        self.arrivals.exhausted()
     }
 
     /// Restrict the calendar to arrivals passing `keep` (rebalanced
@@ -173,46 +113,36 @@ impl EventPump {
 }
 
 impl Pump for EventPump {
+    #[inline]
     fn now(&self) -> SimTime {
-        EventPump::now(self)
+        self.now
     }
 
+    /// Tie order per [`next_event`]: completion, arrival, wakeup. Peeking
+    /// never moves the clock.
     fn next_point(
         &mut self,
         completion: Option<SimTime>,
         wakeup: Option<SimTime>,
     ) -> Option<(SimTime, EventKind)> {
-        EventPump::peek_point(self, completion, wakeup)
+        next_event(completion, self.arrivals.peek_time(), wakeup)
     }
 
     fn advance(&mut self, t: SimTime) -> SimDuration {
-        EventPump::advance(self, t)
+        debug_assert!(t >= self.now, "time went backwards");
+        self.now = t;
+        let gap = t - self.last_event;
+        self.last_event = t;
+        gap
     }
 
+    /// Delivers in id order.
     fn take_due_into(&mut self, due: &mut Vec<TxnId>) {
-        EventPump::take_due_into(self, due);
+        self.arrivals.pop_due_into(self.now, due);
     }
 
     fn exhausted(&self) -> bool {
-        EventPump::exhausted(self)
-    }
-
-    fn retain_arrivals(&mut self, keep: &mut dyn FnMut(TxnId) -> bool) {
-        EventPump::retain_arrivals(self, keep);
-    }
-
-    fn extract_arrivals(&mut self, ids: &[TxnId], out: &mut Vec<(SimTime, TxnId)>) {
-        EventPump::extract_arrivals(self, ids, out);
-    }
-
-    fn admit_arrivals(&mut self, entries: &[(SimTime, TxnId)]) {
-        EventPump::admit_arrivals(self, entries);
-    }
-}
-
-impl SpecPump for EventPump {
-    fn from_specs(specs: &[TxnSpec]) -> EventPump {
-        EventPump::new(specs)
+        self.arrivals.exhausted()
     }
 }
 
@@ -241,28 +171,11 @@ mod tests {
 
     #[test]
     fn next_point_folds_all_three_sources() {
-        let pump = EventPump::new(&[ind(5, 10, 1)]);
+        let mut pump = EventPump::new(&[ind(5, 10, 1)]);
         // Completion beats the later arrival; arrival beats the later wakeup.
-        let (t, kind) = pump.peek_point(Some(at(3)), Some(at(9))).unwrap();
+        let (t, kind) = pump.next_point(Some(at(3)), Some(at(9))).unwrap();
         assert_eq!((t, kind), (at(3), EventKind::Completion));
-        let (t, kind) = pump.peek_point(None, Some(at(9))).unwrap();
+        let (t, kind) = pump.next_point(None, Some(at(9))).unwrap();
         assert_eq!((t, kind), (at(5), EventKind::Arrival));
-    }
-
-    #[test]
-    fn trait_and_inherent_paths_agree() {
-        let mut a = EventPump::new(&[ind(0, 10, 1), ind(3, 20, 1)]);
-        let mut b = EventPump::new(&[ind(0, 10, 1), ind(3, 20, 1)]);
-        let via_trait = Pump::next_point(&mut a, None, None);
-        let via_peek = b.peek_point(None, None);
-        assert_eq!(via_trait, via_peek);
-        Pump::advance(&mut a, at(0));
-        b.advance(at(0));
-        let mut da = Vec::new();
-        let mut db = Vec::new();
-        Pump::take_due_into(&mut a, &mut da);
-        b.take_due_into(&mut db);
-        assert_eq!(da, db);
-        assert_eq!(Pump::exhausted(&a), b.exhausted());
     }
 }

@@ -47,7 +47,7 @@ pub mod testutil;
 pub mod threaded;
 pub mod trace;
 
-pub use engine::{Engine, EventPump, Pump, ServerPool, SimResult, SpecPump};
+pub use engine::{Engine, EventPump, Pump, ServerPool, SimResult};
 pub use live::{
     AdmissionEvent, AdmissionLog, AdmissionStats, IngestRing, JobBoard, JobProducer, JobStatus,
     LiveConfig, LiveFrontend, LivePump, LiveSnapshot, LiveStats, LiveUniverse,

@@ -834,30 +834,6 @@ impl Pump for LivePump {
         self.board.note_txn_done(self.universe.job_of(t));
         self.stats.completed_txns.fetch_add(1, Ordering::Relaxed);
     }
-
-    fn retain_arrivals(&mut self, keep: &mut dyn FnMut(TxnId) -> bool) {
-        self.pending.retain(|&(_, id)| keep(id));
-    }
-
-    fn extract_arrivals(&mut self, ids: &[TxnId], out: &mut Vec<(SimTime, TxnId)>) {
-        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must be sorted");
-        let mut kept = VecDeque::with_capacity(self.pending.len());
-        for (t, id) in self.pending.drain(..) {
-            if ids.binary_search(&id).is_ok() {
-                out.push((t, id));
-            } else {
-                kept.push_back((t, id));
-            }
-        }
-        self.pending = kept;
-    }
-
-    fn admit_arrivals(&mut self, entries: &[(SimTime, TxnId)]) {
-        self.pending.extend(entries.iter().copied());
-        self.pending
-            .make_contiguous()
-            .sort_by_key(|&(t, id)| (t, id));
-    }
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@
 //! [`RunStats`] counters add; traces and backlog series interleave by
 //! instant with ties broken by shard index.
 
-use crate::engine::{Engine, EventPump, SimResult, SpecPump};
+use crate::engine::{Engine, EventPump, SimResult};
 use crate::stats::BacklogSeries;
 use crate::stats::{EpochStats, RunStats};
 use crate::trace::{Trace, TraceEvent};
@@ -197,7 +197,7 @@ pub struct RebalanceStats {
 /// // 8 independent txns over 4 shards: 2 per shard, drained in parallel.
 /// assert_eq!(r.merged.stats.makespan, SimTime::from_units_int(4));
 /// ```
-pub struct ShardedRuntime<P: SpecPump = EventPump> {
+pub struct ShardedRuntime {
     pub(crate) specs: Vec<TxnSpec>,
     pub(crate) kind: PolicyKind,
     pub(crate) shards: usize,
@@ -205,7 +205,6 @@ pub struct ShardedRuntime<P: SpecPump = EventPump> {
     pub(crate) trace: bool,
     pub(crate) backlog: Option<SimDuration>,
     pub(crate) rebalance: Option<RebalanceConfig>,
-    pub(crate) pump: std::marker::PhantomData<P>,
 }
 
 impl ShardedRuntime {
@@ -220,26 +219,6 @@ impl ShardedRuntime {
             trace: false,
             backlog: None,
             rebalance: None,
-            pump: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<P: SpecPump> ShardedRuntime<P> {
-    /// Swap the pump type every shard engine is built on. The simulated
-    /// [`EventPump`] is the default; any [`SpecPump`] (a pump
-    /// constructible from a spec calendar) slots in without touching the
-    /// partition/merge machinery.
-    pub fn pump_type<Q: SpecPump>(self) -> ShardedRuntime<Q> {
-        ShardedRuntime {
-            specs: self.specs,
-            kind: self.kind,
-            shards: self.shards,
-            servers: self.servers,
-            trace: self.trace,
-            backlog: self.backlog,
-            rebalance: self.rebalance,
-            pump: std::marker::PhantomData,
         }
     }
 
@@ -359,7 +338,7 @@ impl<P: SpecPump> ShardedRuntime<P> {
             // noise of the plain engine (the shard_gate bench enforces it).
             let table = TxnTable::new(self.specs)?;
             let (result, obs) =
-                ShardEngine::<P, O>::new(table, kind, knobs, |table| make(0, table), attach)
+                ShardEngine::<O>::new(table, kind, knobs, |table| make(0, table), attach)
                     .finish_with(Engine::run);
             return Ok((
                 ShardedResult {
@@ -397,7 +376,7 @@ impl<P: SpecPump> ShardedRuntime<P> {
                 .map(|(i, specs)| {
                     let make = &make;
                     scope.spawn(move || {
-                        run_shard::<P, O>(specs, kind, knobs, |table| make(i, table), attach)
+                        run_shard::<O>(specs, kind, knobs, |table| make(i, table), attach)
                     })
                 })
                 .collect();
@@ -447,12 +426,12 @@ pub(crate) struct EngineKnobs {
 /// One shard's engine and its observer, shared with the engine and policy
 /// when the run is observed. The static and threaded drivers both build
 /// their shard engines here.
-pub(crate) struct ShardEngine<P, O> {
-    pub(crate) engine: Engine<Box<dyn Scheduler>, P>,
+pub(crate) struct ShardEngine<O> {
+    pub(crate) engine: Engine<Box<dyn Scheduler>>,
     observer: Rc<RefCell<O>>,
 }
 
-impl<P: SpecPump, O: Observer + 'static> ShardEngine<P, O> {
+impl<O: Observer + 'static> ShardEngine<O> {
     /// Build an engine over `table` the way `runner::simulate` does — the
     /// policy derived from the same table — so a shard over a whole batch
     /// is bit-identical to the plain engine. The observer is built first,
@@ -466,7 +445,7 @@ impl<P: SpecPump, O: Observer + 'static> ShardEngine<P, O> {
     ) -> Self {
         let observer = Rc::new(RefCell::new(make(&table)));
         let policy = kind.build(&table);
-        let pump = P::from_specs(table.specs());
+        let pump = EventPump::new(table.specs());
         let mut engine = Engine::from_table(table, policy, pump).with_servers(knobs.servers);
         if knobs.trace {
             engine = engine.with_trace();
@@ -485,7 +464,7 @@ impl<P: SpecPump, O: Observer + 'static> ShardEngine<P, O> {
     /// reference to the observer — and hand the observer back.
     pub(crate) fn finish_with(
         self,
-        report: impl FnOnce(Engine<Box<dyn Scheduler>, P>) -> SimResult,
+        report: impl FnOnce(Engine<Box<dyn Scheduler>>) -> SimResult,
     ) -> (SimResult, O) {
         let result = report(self.engine);
         let obs = Rc::try_unwrap(self.observer)
@@ -496,7 +475,7 @@ impl<P: SpecPump, O: Observer + 'static> ShardEngine<P, O> {
 }
 
 /// Run one shard's specs to completion on the current thread.
-fn run_shard<P: SpecPump, O: Observer + 'static>(
+fn run_shard<O: Observer + 'static>(
     specs: Vec<TxnSpec>,
     kind: PolicyKind,
     knobs: EngineKnobs,
@@ -504,7 +483,7 @@ fn run_shard<P: SpecPump, O: Observer + 'static>(
     attach: bool,
 ) -> (SimResult, O) {
     let table = TxnTable::new(specs).expect("validated on the global batch");
-    ShardEngine::<P, O>::new(table, kind, knobs, make, attach).finish_with(Engine::run)
+    ShardEngine::<O>::new(table, kind, knobs, make, attach).finish_with(Engine::run)
 }
 
 /// Rewrite a shard-local result to global transaction ids.

@@ -8,12 +8,13 @@
 //! shard's owned arrivals. Each shard thread steps its own engine through
 //! an *epoch window* `[B, B')` without talking to anyone, and all
 //! cross-shard traffic — migration payloads, steal grants — takes effect
-//! only at window boundaries, where a [`ShardBarrier`] lines the threads
-//! up. Between boundaries the only sharing is bounded lock-free
-//! SPSC rings ([`Chan`], the [`crate::live::IngestRing`] idiom generalized
-//! to typed messages), and rings are *written during* a window but *read
-//! after* the next barrier, so every message is ordered by barrier
-//! happens-before, never by delivery timing.
+//! only at window boundaries, where a poisonable round barrier
+//! (`ShardBarrier`) lines the threads up. Between boundaries the only
+//! sharing is bounded lock-free SPSC rings (`Chan`, the
+//! [`crate::live::IngestRing`] idiom generalized to typed messages), and
+//! rings are *written during* a window but *read after* the next barrier,
+//! so every message is ordered by barrier happens-before, never by
+//! delivery timing.
 //!
 //! Per round, each thread:
 //!
@@ -21,21 +22,41 @@
 //!    the *next* boundary; see below),
 //! 2. **runs** its engine up to (not including) the horizon,
 //! 3. **posts** one steal request if it ended the window idle,
-//! 4. **reports** load / backlog / next point and waits (`#1`),
-//! 5. shard 0 — the deterministic **leader** — takes all reports, plans
-//!    migrations with [`plan_rebalance`] (greedy largest-work-first under
-//!    the `2·work ≤ gap` rule) over its own index of movable components,
-//!    picks the next boundary, and publishes the plan (`#2`),
+//! 4. **reports** load / backlog / next point into its report slot and
+//!    waits (`#1`),
+//! 5. **plans**: reads every shard's report and computes the boundary plan
+//!    — migrations from [`plan_rebalance`] (greedy largest-work-first under
+//!    the `2·work ≤ gap` rule) over its own replica of the movable-component
+//!    index, then the next boundary. The plan is a pure function of the
+//!    reports and the index, and every replica applies the same moves, so
+//!    every shard computes the same plan; there is no leader. Shard 0 alone
+//!    records it in the telemetry,
 //! 6. **executes** its slice of the plan — extracting, in one calendar
 //!    pass, the entries of every component it sends away and pushing each
-//!    to its destination's ring — and waits (`#3`),
+//!    to its destination's ring — and waits (`#2`),
 //! 7. **drains** its inboxes: migrated arrivals and steal grants join the
 //!    calendar, requests are buffered for the next answer phase, acks
 //!    release the thief to ask again. Rings are parity-paired —
 //!    `chans[round & 1]` — so a neighbour racing ahead into round E+1
 //!    pushes into the *other* ring set and can never land a message in a
-//!    ring still being drained for round E; three barriers per round, not
-//!    four.
+//!    ring still being drained for round E; two barriers per round, not
+//!    three.
+//!
+//! Report slots need no parity pair: every shard reads the round's reports
+//! before it reaches barrier `#2`, and no shard can overwrite its own
+//! report until it has passed that barrier.
+//!
+//! ## The migration budget binds
+//!
+//! Each round's migration payloads must fit the rings: the plan drops any
+//! move that would push more than `MSG_RING_CAPACITY − steal_k − 2`
+//! calendar entries through one channel (1018 at the default `steal_k` of
+//! 4), and replans it from fresh loads at the next boundary. On a skewed
+//! batch this cap is a migration-rate limit, not a safety margin: on the
+//! benchmark's Zipf-skewed `skewed_shards` batch (K = 2) it binds in most
+//! migration rounds and drops thousands of planned moves per run, while
+//! the uniform twin never reaches it. Any change to the message transport
+//! (ring size, message layout) therefore changes schedules.
 //!
 //! ## The asynchronous steal protocol
 //!
@@ -56,8 +77,8 @@
 //!
 //! ## Why decisions stay deterministic
 //!
-//! * Every round-E push precedes barrier `#1` or `#3` of round E, every
-//!   round-E drain runs after `#3`, and round-E±1 traffic rides the other
+//! * Every round-E push precedes barrier `#1` or `#2` of round E, every
+//!   round-E drain runs after `#2`, and round-E±1 traffic rides the other
 //!   parity's rings. Reaching round E+2 — the same parity again — means
 //!   passing barrier `#1` of round E+1, which waits on every thread's
 //!   round-E drain; so each drain sees exactly the round-E message set,
@@ -65,14 +86,15 @@
 //! * The victim acts on requests only at the answer phase, from state at
 //!   the window start; grants land only at the boundary. No decision reads
 //!   a ring mid-window.
-//! * The leader is fixed (shard 0) and plans from the full report vector;
-//!   thief victim-selection uses the *previous* plan's backlog snapshot.
+//! * Every shard plans from the full report vector and an index replica
+//!   that has seen the same moves; thief victim-selection uses the
+//!   *previous* boundary's reports.
 //! * No wall clock anywhere: horizons, effect times and stamps are all
 //!   simulated instants derived from the epoch cadence.
 //!
 //! ## What a migrate-only run equals
 //!
-//! The leader plans at the boundary instant and moves only components whose
+//! The plan is made at the boundary instant and moves only components whose
 //! every member arrives strictly after it, and the destination admits each
 //! member at its spec arrival. A migrated component therefore only ever
 //! arrives on its final owner, and without stealing each shard's schedule
@@ -89,14 +111,15 @@
 //! always `Pending` at full length in that shard's table (never arrived
 //! there, migrated away unarrived, or retracted unserved by a steal). The
 //! worker adjusts that foreign sum on each migration and steal. Movable
-//! components live in the leader's [`MovableIndex`], ordered by earliest
-//! arrival so the advancing horizon retires them with a cursor; since steals
-//! only take already-arrived singletons, migrations are the only ownership
-//! change the index must follow, and the leader applies those itself.
+//! components live in each shard's replica of the index (`MovableIndex`),
+//! ordered by earliest arrival so the advancing horizon retires them with a
+//! cursor; since steals only take already-arrived singletons, migrations
+//! are the only ownership change the index must follow, and every shard
+//! applies those from the plan.
 //!
 //! [`Scheduler::steal_candidates`]: asets_core::policy::Scheduler::steal_candidates
 
-use crate::engine::{Engine, SimResult, SpecPump};
+use crate::engine::{Engine, SimResult};
 use crate::sharded::{
     merge, EngineKnobs, RebalanceConfig, RebalanceEvent, RebalanceStats, ShardEngine, ShardRun,
     ShardedResult, ShardedRuntime,
@@ -114,7 +137,7 @@ use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 
-/// Slots per cross-shard ring. Bounds every round's traffic: the leader
+/// Slots per cross-shard ring. Bounds every round's traffic: the plan
 /// budgets migration payloads per channel (see [`Shared::mig_budget`]) and
 /// steal traffic is at most one request, `steal_k` grants and one ack.
 pub(crate) const MSG_RING_CAPACITY: usize = 1024;
@@ -332,6 +355,7 @@ struct PendingReq {
 }
 
 /// One shard's boundary snapshot, published before barrier `#1`.
+#[derive(Clone, Copy)]
 struct Report {
     /// Remaining work of owned, uncompleted transactions (ticks), read
     /// from the O(1) gauge.
@@ -350,8 +374,9 @@ struct Report {
     answered: u32,
 }
 
-/// The leader's verdict for one boundary, published before barrier `#2`.
-#[derive(Clone)]
+/// The verdict for one boundary. Every shard computes it right after
+/// barrier `#1` from the same reports and its own index replica, so every
+/// shard holds the same plan.
 struct Plan {
     /// Every transaction completed: all threads exit this round.
     done: bool,
@@ -361,21 +386,21 @@ struct Plan {
     /// Horizon of the next window. `boundary + epoch` while anything is in
     /// flight; otherwise skipped ahead to cover the earliest next point.
     next_boundary: SimTime,
-    /// Per-shard waiting backlog — next window's thieves pick victims from
-    /// this snapshot (one round stale, deterministically so).
-    waiting: Vec<usize>,
     /// Migrations to execute at this boundary.
     moves: Vec<ComponentMove>,
 }
 
-/// The leader's migration candidates: every component ordered by earliest
-/// member arrival, with its planning weight and current owner.
+/// The migration candidates: every component ordered by earliest member
+/// arrival, with its planning weight and current owner. Each shard keeps a
+/// replica.
 ///
 /// Under restricted arrivals a component is fully unarrived — hence
 /// movable — exactly while its earliest arrival lies beyond the horizon,
 /// and the horizon only grows, so a cursor retires components for good.
-/// Owners change only through the leader's own applied moves: a steal
-/// takes a ready singleton, which the cursor retired a round earlier.
+/// Owners change only through applied moves, which every shard applies to
+/// its replica from the same plan: a steal takes a ready singleton, which
+/// the cursor retired a round earlier.
+#[derive(Clone)]
 struct MovableIndex {
     /// Earliest member arrival of `comps[i]`, ascending.
     min_arrival: Vec<SimTime>,
@@ -452,17 +477,23 @@ struct Shared<'a> {
     /// a faster neighbour's next-round pushes.
     chans: &'a [Vec<Vec<Chan<Msg>>>; 2],
     barrier: &'a ShardBarrier,
+    /// `reports[s]`: shard `s`'s latest boundary snapshot. One slot per
+    /// shard suffices: every shard reads the round's reports before the
+    /// sends barrier, and no shard writes its next report before passing
+    /// it.
     reports: &'a [Mutex<Option<Report>>],
-    plan_slot: &'a Mutex<Option<Plan>>,
     /// Component membership by routing key, members ascending.
     comp_members: &'a BTreeMap<u32, Vec<TxnId>>,
+    /// The movable index at the start of the run; each shard plans over a
+    /// clone.
+    movable: &'a MovableIndex,
     /// Routing key of every transaction.
     keys: &'a [u32],
     /// The initial (static) partition; arrival restriction baseline.
     shard_of: &'a [u32],
 }
 
-impl<P: SpecPump> ShardedRuntime<P> {
+impl ShardedRuntime {
     /// Run the K > 1 rebalanced mode: one thread per shard engine, each
     /// over the full global table with restricted arrivals, trading work
     /// over [`Chan`]s; results are merged in global ids.
@@ -497,7 +528,7 @@ impl<P: SpecPump> ShardedRuntime<P> {
         });
         let barrier = ShardBarrier::new(k);
         let reports: Vec<Mutex<Option<Report>>> = (0..k).map(|_| Mutex::new(None)).collect();
-        let plan_slot: Mutex<Option<Plan>> = Mutex::new(None);
+        let movable = MovableIndex::new(&comp_members, master.specs(), &shard_of);
         let shared = Shared {
             k,
             n,
@@ -506,8 +537,8 @@ impl<P: SpecPump> ShardedRuntime<P> {
             chans: &chans,
             barrier: &barrier,
             reports: &reports,
-            plan_slot: &plan_slot,
             comp_members: &comp_members,
+            movable: &movable,
             keys: &keys,
             shard_of: &shard_of,
         };
@@ -525,7 +556,7 @@ impl<P: SpecPump> ShardedRuntime<P> {
             let handles: Vec<_> = (0..k)
                 .map(|s| {
                     scope.spawn(move || {
-                        run_worker::<P, O>(
+                        run_worker::<O>(
                             s,
                             master_ref.clone(),
                             kind,
@@ -564,7 +595,7 @@ impl<P: SpecPump> ShardedRuntime<P> {
             observers.push(obs);
         }
         // Shard-local logs are deterministic; a global order needs a rule.
-        // Stable sort by (instant, kind, shards): migrations (leader log)
+        // Stable sort by (instant, kind, shards): migrations (shard 0's log)
         // before steals at the same boundary, each shard's internal order
         // preserved.
         stats.events.sort_by_key(|e| match *e {
@@ -591,10 +622,10 @@ impl<P: SpecPump> ShardedRuntime<P> {
 
 /// One shard thread: build the policy and observer locally (they are
 /// deliberately not `Sync`) over a cheap clone of the master table, then
-/// run the barrier rounds until the leader declares the batch done.
+/// run the barrier rounds until the plan declares the batch done.
 /// Returns the finished result, the observer and this shard's slice of the
 /// rebalance telemetry.
-fn run_worker<P: SpecPump, O: Observer + 'static>(
+fn run_worker<O: Observer + 'static>(
     s: usize,
     table: TxnTable,
     kind: PolicyKind,
@@ -607,10 +638,9 @@ fn run_worker<P: SpecPump, O: Observer + 'static>(
         barrier: shared.barrier,
         shard: s,
     };
-    // Shard 0 leads, so it alone keeps the movable index.
-    let mut index =
-        (s == 0).then(|| MovableIndex::new(shared.comp_members, table.specs(), shared.shard_of));
-    let mut shard = ShardEngine::<P, O>::new(table, kind, knobs, make, attach);
+    // Every shard plans, over its own replica of the movable index.
+    let mut index = shared.movable.clone();
+    let mut shard = ShardEngine::<O>::new(table, kind, knobs, make, attach);
     let engine = &mut shard.engine;
     engine.restrict_arrivals(|t| shared.shard_of[t.index()] == s as u32);
 
@@ -637,7 +667,10 @@ fn run_worker<P: SpecPump, O: Observer + 'static>(
     let mut epoch_idx: u64 = 0;
     // The epoch stamp of this shard's unanswered steal request, if any.
     let mut pending_post: Option<u64> = None;
-    let mut last_waiting: Vec<usize> = vec![0; shared.k];
+    // The last boundary's reports, every shard's: the plan's input, and
+    // the backlog snapshot the next window's thief picks its victim from
+    // (one round stale, deterministically so).
+    let mut reports: Vec<Report> = Vec::with_capacity(shared.k);
     let mut req_buf: Vec<PendingReq> = Vec::new();
     let mut candidates: Vec<TxnId> = Vec::new();
     let mut entries: Vec<(SimTime, TxnId)> = Vec::new();
@@ -714,7 +747,7 @@ fn run_worker<P: SpecPump, O: Observer + 'static>(
             && engine.idle_servers() > 0
             && engine.waiting_ready() == 0
         {
-            if let Some(victim) = pick_victim(&last_waiting, s) {
+            if let Some(victim) = pick_victim(&reports, s) {
                 let want = engine.idle_servers().min(shared.cfg.steal_k) as u32;
                 let sent = shared.chans[par][s][victim].push(Msg::Request {
                     epoch: epoch_idx,
@@ -728,7 +761,7 @@ fn run_worker<P: SpecPump, O: Observer + 'static>(
             }
         }
 
-        // Report phase: boundary snapshot for the leader, O(1). While the
+        // Report phase: boundary snapshot for every planner, O(1). While the
         // accounting is exact `foreign` never exceeds the table's remaining
         // sum, so the subtraction never saturates; test builds check the
         // gauge against the scan every round (a failure poisons the
@@ -749,32 +782,28 @@ fn run_worker<P: SpecPump, O: Observer + 'static>(
             posted,
             answered,
         };
-        *shared.reports[s].lock().unwrap() = Some(report);
+        *shared.reports[s]
+            .lock()
+            .expect("no shard panics while holding a report slot") = Some(report);
         shared.barrier.wait(); // #1: all reports published
 
+        // Plan phase: every shard derives the same plan from the same
+        // reports; shard 0 alone records it, so the telemetry counts each
+        // boundary once.
+        reports.clear();
+        reports.extend(shared.reports.iter().map(|slot| {
+            slot.lock()
+                .expect("no shard panics while holding a report slot")
+                .expect("every shard reported")
+        }));
+        let plan = plan_boundary(&reports, horizon, shared, &mut index);
         if s == 0 {
-            let reps: Vec<Report> = shared
-                .reports
-                .iter()
-                .map(|slot| slot.lock().unwrap().take().expect("every shard reported"))
-                .collect();
-            let index = index.as_mut().expect("the leader owns the movable index");
-            let plan = leader_plan(&reps, horizon, shared, index, &mut stats);
-            *shared.plan_slot.lock().unwrap() = Some(plan);
+            record_plan(&plan, horizon, shared, &mut stats);
         }
-        shared.barrier.wait(); // #2: plan published
-
-        let plan = shared
-            .plan_slot
-            .lock()
-            .unwrap()
-            .clone()
-            .expect("leader planned");
         assert!(
             !plan.stalled,
             "threaded run stalled on shard {s}: no scheduling points, nothing in flight, work incomplete"
         );
-        last_waiting.clone_from(&plan.waiting);
         if plan.done {
             break;
         }
@@ -825,10 +854,10 @@ fn run_worker<P: SpecPump, O: Observer + 'static>(
                 );
             }
         }
-        shared.barrier.wait(); // #3: all boundary sends complete
+        shared.barrier.wait(); // #2: all boundary sends complete
 
         // Drain phase: this round's inboxes in sender order. Everything
-        // sent this round is visible (the senders passed barrier #1 or #3
+        // sent this round is visible (the senders passed barrier #1 or #2
         // after pushing); anything newer targets the other parity's rings.
         entries.clear();
         for from in 0..shared.k {
@@ -885,36 +914,32 @@ fn scanned_load(table: &TxnTable, owned: &[bool]) -> u64 {
         .sum()
 }
 
-/// Deepest waiting backlog among the other shards, ties toward the lower
-/// index; `None` when nobody has ready work to spare.
-fn pick_victim(waiting: &[usize], s: usize) -> Option<usize> {
-    (0..waiting.len())
-        .filter(|&v| v != s && waiting[v] > 0)
-        .max_by_key(|&v| (waiting[v], std::cmp::Reverse(v)))
+/// Deepest waiting backlog among the other shards at the last boundary,
+/// ties toward the lower index; `None` when nobody has ready work to spare
+/// (or before the first boundary).
+fn pick_victim(reports: &[Report], s: usize) -> Option<usize> {
+    (0..reports.len())
+        .filter(|&v| v != s && reports[v].waiting > 0)
+        .max_by_key(|&v| (reports[v].waiting, std::cmp::Reverse(v)))
 }
 
-/// The leader's boundary decision: done test, migration plan (flow-control
-/// filtered to the per-channel budget), next horizon. Runs on shard 0
-/// between barriers `#1` and `#2`; `stats` is the leader's local log, so
-/// migration counters and events are recorded exactly once.
-fn leader_plan(
+/// The boundary decision: done test, migration plan (flow-control filtered
+/// to the per-channel budget), next horizon. A pure function of the reports
+/// and the index, which it updates with the moves it plans; every shard
+/// runs it between barriers `#1` and `#2`.
+fn plan_boundary(
     reports: &[Report],
     boundary: SimTime,
     shared: &Shared<'_>,
     index: &mut MovableIndex,
-    stats: &mut RebalanceStats,
 ) -> Plan {
-    stats.barriers += 1;
     let epoch = shared.cfg.epoch;
     let completed: usize = reports.iter().map(|r| r.completed).sum();
-    let done = completed == shared.n;
-    let waiting: Vec<usize> = reports.iter().map(|r| r.waiting).collect();
-    if done {
+    if completed == shared.n {
         return Plan {
-            done,
+            done: true,
             stalled: false,
             next_boundary: boundary + epoch,
-            waiting,
             moves: Vec::new(),
         };
     }
@@ -935,23 +960,8 @@ fn leader_plan(
         *slot += len;
         moves.push(mv);
     }
-    if !moves.is_empty() {
-        stats.migration_rounds += 1;
-    }
     for mv in &moves {
         index.moved(mv);
-        let members = &shared.comp_members[&mv.key];
-        stats.migrated_components += 1;
-        stats.migrated_txns += members.len() as u64;
-        stats.migrated_work += mv.work;
-        stats.events.push(RebalanceEvent::Migration {
-            at: boundary,
-            key: mv.key,
-            from: mv.from,
-            to: mv.to,
-            txns: members.len() as u32,
-            work_ticks: mv.work,
-        });
     }
 
     // Next horizon: anything in flight (migration payloads landing at this
@@ -975,11 +985,33 @@ fn leader_plan(
         }
     };
     Plan {
-        done,
+        done: false,
         stalled,
         next_boundary,
-        waiting,
         moves,
+    }
+}
+
+/// Record one boundary's plan in the run's telemetry: the round and every
+/// planned migration. Only shard 0 calls it, so each is counted once.
+fn record_plan(plan: &Plan, boundary: SimTime, shared: &Shared<'_>, stats: &mut RebalanceStats) {
+    stats.barriers += 1;
+    if !plan.moves.is_empty() {
+        stats.migration_rounds += 1;
+    }
+    for mv in &plan.moves {
+        let members = shared.comp_members[&mv.key].len();
+        stats.migrated_components += 1;
+        stats.migrated_txns += members as u64;
+        stats.migrated_work += mv.work;
+        stats.events.push(RebalanceEvent::Migration {
+            at: boundary,
+            key: mv.key,
+            from: mv.from,
+            to: mv.to,
+            txns: members as u32,
+            work_ticks: mv.work,
+        });
     }
 }
 
@@ -1266,7 +1298,7 @@ mod tests {
     #[test]
     fn quiet_stretches_skip_epochs() {
         // Arrivals at 0 and 1000 with a tiny epoch: without skip-ahead the
-        // run would cross ~500 barriers; the leader jumps the gap.
+        // run would cross ~500 barriers; the plan jumps the gap.
         let mut specs = vec![ind(0, 10, 2), ind(0, 10, 2)];
         specs.push(ind(1000, 1010, 2));
         specs.push(ind(1000, 1010, 2));

@@ -47,7 +47,7 @@ pub enum Plan {
         table: String,
     },
     /// Point lookup on a table's unique primary-key index: zero or one row.
-    /// Usually produced by [`crate::query::optimize`] from
+    /// Usually produced by [`crate::query::optimize()`] from
     /// `Filter(Scan, pk = literal)`.
     IndexLookup {
         /// Table name (must have a primary key).

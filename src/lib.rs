@@ -18,11 +18,11 @@
 //!
 //! The real content lives in the member crates:
 //!
-//! * [`core`](asets_core) — model + policies;
-//! * [`sim`](asets_sim) — the discrete-event engine;
-//! * [`workload`](asets_workload) — Table I generators;
-//! * [`webdb`](asets_webdb) — the web-database substrate;
-//! * [`experiments`](asets_experiments) — the figure-reproduction harness.
+//! * [`core`] — model + policies;
+//! * [`sim`] — the discrete-event engine;
+//! * [`workload`] — Table I generators;
+//! * [`webdb`] — the web-database substrate;
+//! * [`experiments`] — the figure-reproduction harness.
 
 #![warn(missing_docs)]
 

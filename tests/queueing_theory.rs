@@ -7,14 +7,17 @@
 //! * **FCFS** mean response time obeys Pollaczek–Khinchine:
 //!   `E[T] = E[S] + λ·E[S²] / (2(1−ρ))` with `ρ = λ·E[S]`;
 //! * the server's long-run **busy fraction** equals ρ;
-//! * **SRPT** improves mean response time over FCFS (optimality).
+//! * **SRPT** improves mean response time over FCFS (optimality);
+//! * no policy, on any pool or shard count, beats one SRPT server of the
+//!   combined speed on total flow time (an exact pathwise bound).
 //!
 //! These catch a whole class of engine bugs (service accounting, event
 //! ordering, preemption arithmetic) that policy unit tests cannot see.
 
-use asets_core::policy::PolicyKind;
-use asets_sim::simulate;
+use asets_core::prelude::*;
+use asets_sim::{simulate, RebalanceConfig, ShardedRuntime};
 use asets_workload::{generate, TableISpec};
+use proptest::prelude::*;
 
 /// Empirical moments of the generated batch (the generator's λ uses the
 /// empirical mean — DESIGN.md D10 — so the analytical prediction must too).
@@ -118,4 +121,152 @@ fn response_time_grows_superlinearly_with_load() {
         means[1],
         means[0]
     );
+}
+
+/// A random dependent, weighted batch with clustered arrivals, so servers
+/// contend. Dependencies only point to earlier ids, so the batch is
+/// acyclic by construction.
+fn dependent_batch(max_n: usize) -> impl Strategy<Value = Vec<TxnSpec>> {
+    proptest::collection::vec(
+        (
+            0u64..30, // arrival
+            1u64..20, // length
+            0u64..40, // extra slack beyond length
+            1u32..10, // weight
+            proptest::collection::vec(any::<prop::sample::Index>(), 0..3),
+        ),
+        1..max_n,
+    )
+    .prop_map(|rows| {
+        rows.into_iter()
+            .enumerate()
+            .map(|(i, (arr, len, slack, w, deps))| {
+                let arrival = SimTime::from_units_int(arr);
+                let length = SimDuration::from_units_int(len);
+                let mut deps: Vec<TxnId> = if i == 0 {
+                    Vec::new()
+                } else {
+                    deps.into_iter()
+                        .map(|idx| TxnId(idx.index(i) as u32))
+                        .collect()
+                };
+                deps.sort_unstable();
+                deps.dedup();
+                TxnSpec {
+                    arrival,
+                    deadline: arrival + length + SimDuration::from_units_int(slack),
+                    length,
+                    weight: Weight(w),
+                    deps,
+                }
+            })
+            .collect::<Vec<_>>()
+    })
+}
+
+/// Every policy kind the factory can build, including both impact rules
+/// and both balance-aware activation modes.
+fn all_kinds() -> Vec<PolicyKind> {
+    vec![
+        PolicyKind::Fcfs,
+        PolicyKind::Edf,
+        PolicyKind::Srpt,
+        PolicyKind::LeastSlack,
+        PolicyKind::Hdf,
+        PolicyKind::Asets,
+        PolicyKind::Mix { gamma: 2.0 },
+        PolicyKind::Hvf,
+        PolicyKind::LoadSwitch {
+            threshold: 0.75,
+            window: 10.0,
+        },
+        PolicyKind::Ready,
+        PolicyKind::asets_star(),
+        PolicyKind::AsetsStar {
+            impact: ImpactRule::Symmetric,
+        },
+        PolicyKind::BalanceAware {
+            impact: ImpactRule::Paper,
+            activation: ActivationMode::time_rate(0.01),
+        },
+        PolicyKind::BalanceAware {
+            impact: ImpactRule::Paper,
+            activation: ActivationMode::count_rate(0.1),
+        },
+    ]
+}
+
+/// Total flow time `Σ (f_i − a_i)` of a run, in ticks.
+fn total_flow(outcomes: &[TxnOutcome]) -> u128 {
+    outcomes
+        .iter()
+        .map(|o| u128::from(o.finish.ticks() - o.arrival.ticks()))
+        .sum()
+}
+
+/// `Σ (f*_i − p·a_i)`: the total flow time, in ticks, of one-server SRPT on
+/// `specs` with dependencies dropped and every instant stretched by `p`.
+fn stretched_srpt_flow(specs: &[TxnSpec], p: u64) -> u128 {
+    let stretched: Vec<TxnSpec> = specs
+        .iter()
+        .map(|s| TxnSpec {
+            arrival: SimTime::from_ticks(s.arrival.ticks() * p),
+            deadline: SimTime::from_ticks(s.deadline.ticks() * p),
+            deps: Vec::new(),
+            ..s.clone()
+        })
+        .collect();
+    total_flow(&simulate(stretched, PolicyKind::Srpt).unwrap().outcomes)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// No schedule on P = K·M unit-speed servers beats one SRPT server of
+    /// speed P on total flow time: `P·Σ(f_i − a_i) ≥ Σ(f*_i − P·a_i)`,
+    /// exactly, in integer ticks. A speed-P server can run any P-server
+    /// schedule by sharing itself among the running transactions, so the
+    /// left side is the flow time of a feasible one-server schedule once
+    /// time is stretched by P; single-machine preemptive SRPT minimizes
+    /// total flow time, and dropping dependencies only relaxes the
+    /// problem. The bound holds for every policy, pool size and sharded
+    /// driver, including ASETS\*, for which no closed form exists.
+    #[test]
+    fn no_schedule_beats_one_fast_srpt_server(
+        specs in dependent_batch(40),
+        epoch in 2u64..12,
+    ) {
+        let n = specs.len();
+        let rebalance = RebalanceConfig::migrate_every(SimDuration::from_units_int(epoch))
+            .with_steal(2);
+        // (shards, rebalanced): the plain engine (K = 1), static splits,
+        // and the threaded driver with migration and stealing.
+        for (k, rebalanced) in [(1usize, false), (2, false), (4, false), (2, true)] {
+            for m in [1usize, 2, 4] {
+                let p = (k * m) as u64;
+                let bound = stretched_srpt_flow(&specs, p);
+                for kind in all_kinds() {
+                    let mut rt = ShardedRuntime::new(specs.clone(), kind)
+                        .shards(k)
+                        .servers(m);
+                    if rebalanced {
+                        rt = rt.rebalance(rebalance);
+                    }
+                    let r = rt.run().expect("acyclic");
+                    prop_assert_eq!(r.merged.outcomes.len(), n);
+                    let flow = u128::from(p) * total_flow(&r.merged.outcomes);
+                    prop_assert!(
+                        flow >= bound,
+                        "{} at K={} M={} (rebalanced: {}): P·flow {} < stretched SRPT {}",
+                        kind.label(),
+                        k,
+                        m,
+                        rebalanced,
+                        flow,
+                        bound
+                    );
+                }
+            }
+        }
+    }
 }
