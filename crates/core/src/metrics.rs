@@ -72,8 +72,7 @@ impl MetricsSummary {
             max_rt = max_rt.max(rt);
             tards.push(t);
         }
-        tards.sort_unstable();
-        let p99 = percentile_nearest_rank(&tards, 0.99);
+        let p99 = percentile_nearest_rank(&mut tards, 0.99);
 
         let per = TICKS_PER_UNIT as f64;
         MetricsSummary {
@@ -184,15 +183,16 @@ impl MetricsSummary {
     }
 }
 
-/// Nearest-rank percentile over an ascending-sorted slice. Returns 0 for an
-/// empty slice.
-fn percentile_nearest_rank(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
+/// Nearest-rank percentile of `values`, which it reorders: the element a
+/// sort would put at rank − 1, found by selection in expected O(n) instead
+/// of an O(n log n) sort. Returns 0 for an empty slice.
+fn percentile_nearest_rank(values: &mut [u64], p: f64) -> u64 {
+    if values.is_empty() {
         return 0;
     }
     debug_assert!((0.0..=1.0).contains(&p));
-    let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
+    let rank = ((p * values.len() as f64).ceil() as usize).clamp(1, values.len());
+    *values.select_nth_unstable(rank - 1).1
 }
 
 /// Online (streaming) accumulator for the same metrics, used by the
@@ -250,7 +250,6 @@ impl MetricsAccumulator {
             return MetricsSummary::empty();
         }
         let mut tards = self.tards.clone();
-        tards.sort_unstable();
         let per = TICKS_PER_UNIT as f64;
         let n = self.count as f64;
         MetricsSummary {
@@ -262,7 +261,7 @@ impl MetricsAccumulator {
             miss_ratio: self.misses as f64 / n,
             avg_response_time: self.sum_rt as f64 / n / per,
             max_response_time: self.max_rt as f64 / per,
-            p99_tardiness: percentile_nearest_rank(&tards, 0.99) as f64 / per,
+            p99_tardiness: percentile_nearest_rank(&mut tards, 0.99) as f64 / per,
             total_tardiness: self.sum_t as f64 / per,
         }
     }
@@ -273,6 +272,7 @@ mod tests {
     use super::*;
     use crate::time::SimTime;
     use crate::txn::{TxnId, Weight};
+    use proptest::prelude::*;
 
     fn outcome(id: u32, arrival: u64, deadline: u64, finish: u64, weight: u32) -> TxnOutcome {
         TxnOutcome {
@@ -337,10 +337,10 @@ mod tests {
 
     #[test]
     fn percentile_edge_cases() {
-        assert_eq!(percentile_nearest_rank(&[], 0.99), 0);
-        assert_eq!(percentile_nearest_rank(&[7], 0.5), 7);
-        assert_eq!(percentile_nearest_rank(&[1, 2, 3, 4], 1.0), 4);
-        assert_eq!(percentile_nearest_rank(&[1, 2, 3, 4], 0.25), 1);
+        assert_eq!(percentile_nearest_rank(&mut [], 0.99), 0);
+        assert_eq!(percentile_nearest_rank(&mut [7], 0.5), 7);
+        assert_eq!(percentile_nearest_rank(&mut [1, 2, 3, 4], 1.0), 4);
+        assert_eq!(percentile_nearest_rank(&mut [4, 3, 2, 1], 0.25), 1);
     }
 
     #[test]
@@ -431,5 +431,27 @@ mod tests {
         let m = MetricsSummary::from_outcomes(&outs);
         assert!((m.avg_tardiness - m.avg_weighted_tardiness).abs() < 1e-12);
         assert_eq!(m.max_tardiness, m.max_weighted_tardiness);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Selection returns the element a full sort puts at the nearest
+        /// rank, ties and one- or zero-element inputs included.
+        #[test]
+        fn selected_percentile_matches_the_sorted_reference(
+            values in prop::collection::vec(0u64..8, 0..40),
+            p in 0.0f64..1.0,
+        ) {
+            let mut sorted = values.clone();
+            sorted.sort_unstable();
+            for p in [p, 0.99, 1.0] {
+                let expect = match sorted.len() {
+                    0 => 0,
+                    n => sorted[((p * n as f64).ceil() as usize).clamp(1, n) - 1],
+                };
+                prop_assert_eq!(percentile_nearest_rank(&mut values.clone(), p), expect);
+            }
+        }
     }
 }

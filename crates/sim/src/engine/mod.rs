@@ -640,6 +640,12 @@ impl<S: Scheduler, P: Pump> Engine<S, P> {
         self.table.completed_count()
     }
 
+    /// The instant of this engine's latest completion (zero before the
+    /// first).
+    pub(crate) fn last_completion(&self) -> SimTime {
+        self.stats.makespan
+    }
+
     /// Servers with no occupant right now.
     pub(crate) fn idle_servers(&self) -> usize {
         self.pool.len() - self.pool.busy_count()
@@ -701,6 +707,12 @@ impl<S: Scheduler> Engine<S> {
     /// Admit arrival entries extracted from another shard.
     pub(crate) fn admit_arrivals(&mut self, entries: &[(SimTime, TxnId)]) {
         self.pump.admit_arrivals(entries);
+    }
+
+    /// True iff the calendar holds no pending arrival: every transaction
+    /// this engine will run has arrived, unless another shard sends one.
+    pub(crate) fn calendar_empty(&self) -> bool {
+        self.pump.exhausted()
     }
 }
 

@@ -167,7 +167,9 @@ pub struct RebalanceStats {
     pub steals: u64,
     /// Steal requests an idle thief put on a channel.
     pub steal_requests: u64,
-    /// Epoch barriers crossed.
+    /// Boundary rounds the shards met at. Boundaries where no decision can
+    /// happen — inside a quiet stretch, or in a drain before any shard can
+    /// run dry — are skipped, so this counts fewer rounds than epochs.
     pub barriers: u64,
     /// Every action, in order: by boundary, migrations before steals.
     pub events: Vec<RebalanceEvent>,
