@@ -34,6 +34,7 @@
 //! assert_eq!(result.summary.avg_tardiness, 0.0); // Fig. 2(a): EDF meets both
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -80,8 +80,9 @@ pub struct ShardedResult {
 /// epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RebalanceConfig {
-    /// The barrier cadence: shards synchronize, and the migration planner
-    /// runs, at every multiple of this interval. Always positive.
+    /// The boundary cadence: shards meet, and the migration planner runs,
+    /// only at multiples of this interval, and only at those where a
+    /// decision can happen. Always positive.
     pub(crate) epoch: SimDuration,
     /// Enable deadline-aware work stealing at epoch boundaries.
     pub(crate) steal: bool,
@@ -165,7 +166,7 @@ pub struct RebalanceStats {
     pub migrated_work: u64,
     /// Transactions stolen.
     pub steals: u64,
-    /// Steal requests an idle thief put on a channel.
+    /// Steal requests idle thieves posted in their boundary reports.
     pub steal_requests: u64,
     /// Boundary rounds the shards met at. Boundaries where no decision can
     /// happen — inside a quiet stretch, or in a drain before any shard can
@@ -258,16 +259,21 @@ impl ShardedRuntime {
 
     /// Balance load dynamically on the threaded driver
     /// ([`crate::threaded`]): K shard threads each step their own engine
-    /// through epoch windows, synchronize at a barrier on every epoch
-    /// boundary, and exchange work over bounded lock-free SPSC channels.
-    /// Runs are deterministic for a fixed batch and config: every
-    /// cross-shard effect lands at a barrier-ordered simulated instant.
+    /// through epoch windows and meet at one barrier at each epoch
+    /// boundary where a decision can happen (quiet stretches and drains
+    /// that cannot change anything are skipped). At the barrier every
+    /// shard reads every shard's report and computes the same plan, and
+    /// work changes hands through that plan and the reports; nothing else
+    /// crosses threads. Runs are deterministic for a fixed batch and
+    /// config: every cross-shard effect lands at a barrier-ordered
+    /// simulated instant.
     ///
     /// Two layers, configured by [`RebalanceConfig`]:
     ///
     /// * **epoch migration** — at every epoch boundary, whole dependency
     ///   components that have not arrived yet move from backlogged shards
-    ///   to idle ones (planner: [`asets_core::shard::plan_rebalance`]);
+    ///   to idle ones, at most 1 018 members from one shard to another per
+    ///   boundary (planner: [`asets_core::shard::plan_rebalance`]);
     /// * **work stealing** (optional) — a shard that ends a window with
     ///   idle servers and no ready work asks the most-backlogged shard,
     ///   which grants up to `steal_k` ready, never-served singleton
