@@ -704,7 +704,8 @@ impl<S: Scheduler> Engine<S> {
         self.pump.extract_arrivals(ids, out);
     }
 
-    /// Admit arrival entries extracted from another shard.
+    /// Admit arrival entries for transactions another shard handed over:
+    /// migrated members at their spec arrivals, steal grants at a boundary.
     pub(crate) fn admit_arrivals(&mut self, entries: &[(SimTime, TxnId)]) {
         self.pump.admit_arrivals(entries);
     }

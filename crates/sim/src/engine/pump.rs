@@ -106,7 +106,7 @@ impl EventPump {
         self.arrivals.extract_pending(ids, out);
     }
 
-    /// Admit arrival entries extracted from another shard's pump.
+    /// Admit arrival entries for transactions another shard handed over.
     pub fn admit_arrivals(&mut self, entries: &[(SimTime, TxnId)]) {
         self.arrivals.admit(entries);
     }

@@ -119,7 +119,7 @@ impl ArrivalSchedule {
         self.order.truncate(write);
     }
 
-    /// Admit entries previously extracted from another shard's calendar.
+    /// Admit arrival entries for transactions another shard handed over.
     ///
     /// # Panics
     /// If any entry is not strictly in the future of the cursor (admitting

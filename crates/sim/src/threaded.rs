@@ -58,13 +58,13 @@
 //!
 //! ## The migration cap binds
 //!
-//! The plan moves at most `MIGRATION_CAP` (1 018) members from one source to one
-//! destination at one boundary: it drops any move that would exceed the cap
-//! and replans it from fresh loads at the next boundary. On a skewed batch
-//! this is a migration-rate limit, not a safety margin: on the benchmark's
-//! Zipf-skewed `skewed_shards` batch (K = 2) it binds in most migration
-//! rounds and drops thousands of planned moves per run, while the uniform
-//! twin never reaches it. Lifting or removing it changes schedules.
+//! The plan moves at most `MIGRATION_CAP` (1 018) members from one source
+//! to one destination at one boundary: it drops any move that would exceed
+//! the cap and replans it from fresh loads at the next boundary. On a skewed
+//! batch this is a migration-rate limit, not a safety margin: on the
+//! benchmark's Zipf-skewed `skewed_shards` batch (K = 2) it binds in most
+//! migration rounds and drops thousands of planned moves per run, while the
+//! uniform twin never reaches it. Lifting or removing it changes schedules.
 //!
 //! ## Stealing is request and grant
 //!
