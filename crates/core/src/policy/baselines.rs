@@ -1,18 +1,22 @@
-//! The off-the-shelf priority policies the paper compares against (§II-C,
-//! §IV-A): FCFS, EDF, SRPT, Least-Slack, and HDF — plus `Ready`, the §III-B
+//! The single-list priority policies: the baselines the paper compares
+//! against (§II-C, §IV-A) — FCFS, EDF, SRPT, Least-Slack and HDF — and the
+//! two related-work policies of §V, MIX and HVF; plus `Ready`, the §III-B
 //! wait-queue strawman.
 //!
-//! Each is a single [`KeyedQueue`] whose key realizes the policy's priority
-//! (`select` peeks the minimum). Dependency handling is identical for all of
-//! them: blocked transactions simply have not been reported ready yet, which
-//! is exactly the paper's framing of deadline-/dependency-oblivious
-//! baselines (DESIGN.md D6).
+//! Each single-list policy is one priority key over the ready set, which is
+//! how SOAP (Scully & Harchol-Balter) models any such policy: one rank
+//! function. So they share one implementation, [`Keyed`], a single
+//! [`KeyedQueue`] whose minimum `select` peeks, and differ only in their
+//! [`KeyRule`]. Dependency handling is identical for all of them: blocked
+//! transactions simply have not been reported ready yet, which is exactly
+//! the paper's framing of deadline-/dependency-oblivious baselines
+//! (DESIGN.md D6).
 
 use super::{Ratio, Scheduler};
-use crate::obs::{Candidate, DecisionRecord, DecisionRule, ObserverSlot, Winner};
+use crate::obs::{Candidate, DecisionRecord, DecisionRule, ObserverSlot, SharedObserver, Winner};
 use crate::queue::KeyedQueue;
 use crate::table::TxnTable;
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 use crate::txn::TxnId;
 use std::cmp::Reverse;
 
@@ -45,36 +49,71 @@ fn emit_single(obs: &ObserverSlot, table: &TxnTable, now: SimTime, chosen: TxnId
     obs.emit(|o| o.decision(&rec));
 }
 
-/// First-Come-First-Served: priority = arrival time. Never preempts in
-/// practice (the running transaction always has the earliest arrival among
-/// ready ones).
-#[derive(Debug, Default)]
-pub struct Fcfs {
-    queue: KeyedQueue<u64>,
+/// The priority rule of one single-list policy.
+pub trait KeyRule {
+    /// The priority key: the smallest key runs first, ties toward the
+    /// smaller transaction id.
+    type Key: Ord + Copy + std::fmt::Debug;
+    /// The policy's report name ([`Scheduler::name`]).
+    const NAME: &'static str;
+    /// Whether the key reads remaining time, so that a pause must re-key.
+    /// Keys over static fields (arrival, deadline, weight) skip the re-key.
+    const REKEY_ON_PAUSE: bool;
+    /// `t`'s key. It reads only `t`'s own table fields, so reading it from
+    /// a settled table is exact (see [`Scheduler::on_batch`]).
+    fn key(&self, table: &TxnTable, t: TxnId) -> Self::Key;
+}
+
+/// A single-list priority policy: the ready set in one [`KeyedQueue`]
+/// ordered by `R`'s key.
+#[derive(Debug)]
+pub struct Keyed<R: KeyRule> {
+    rule: R,
+    queue: KeyedQueue<R::Key>,
     obs: ObserverSlot,
 }
 
-impl Fcfs {
-    /// New empty FCFS policy.
-    pub fn new() -> Self {
-        Self::default()
+impl<R: KeyRule> Keyed<R> {
+    fn with_rule(rule: R) -> Self {
+        Keyed {
+            rule,
+            queue: KeyedQueue::new(),
+            obs: ObserverSlot::empty(),
+        }
+    }
+
+    /// True iff no transaction is ready.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.queue.is_empty()
     }
 }
 
-impl Scheduler for Fcfs {
+impl<R: KeyRule + Default> Keyed<R> {
+    /// A new empty policy.
+    pub fn new() -> Self {
+        Self::with_rule(R::default())
+    }
+}
+
+impl<R: KeyRule + Default> Default for Keyed<R> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<R: KeyRule> Scheduler for Keyed<R> {
     fn name(&self) -> &str {
-        "FCFS"
+        R::NAME
     }
 
     fn on_ready(&mut self, t: TxnId, table: &TxnTable, _now: SimTime) {
-        // Key by arrival so that a dependent transaction released late still
-        // takes its *submission* position in the line, the classical
-        // definition.
-        self.queue.insert(t.0, table.spec(t).arrival.ticks());
+        self.queue.insert(t.0, self.rule.key(table, t));
     }
 
-    fn on_requeue(&mut self, _t: TxnId, _table: &TxnTable, _now: SimTime) {
-        // Arrival time is static; nothing to re-key.
+    fn on_requeue(&mut self, t: TxnId, table: &TxnTable, _now: SimTime) {
+        if R::REKEY_ON_PAUSE {
+            self.queue.rekey(t.0, self.rule.key(table, t));
+        }
     }
 
     fn on_complete(&mut self, t: TxnId, _table: &TxnTable, _now: SimTime) {
@@ -99,200 +138,99 @@ impl Scheduler for Fcfs {
         }
     }
 
-    fn attach_observer(&mut self, obs: crate::obs::SharedObserver) {
+    fn attach_observer(&mut self, obs: SharedObserver) {
         self.obs.attach(obs);
+    }
+}
+
+/// First-Come-First-Served: priority = arrival time. Never preempts in
+/// practice (the running transaction always has the earliest arrival among
+/// ready ones).
+pub type Fcfs = Keyed<FcfsRule>;
+
+/// [`Fcfs`]'s key: the *submission* instant, so a dependent released late
+/// still takes its place in the line, the classical definition.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct FcfsRule;
+
+impl KeyRule for FcfsRule {
+    type Key = u64;
+    const NAME: &'static str = "FCFS";
+    const REKEY_ON_PAUSE: bool = false;
+    fn key(&self, table: &TxnTable, t: TxnId) -> u64 {
+        table.spec(t).arrival.ticks()
     }
 }
 
 /// Earliest-Deadline-First: priority = `1/d_i` (paper §II-C), i.e. the
 /// smallest deadline wins. Optimal when the system is not over-utilized;
 /// suffers the domino effect under overload (§III-A.1).
-#[derive(Debug, Default)]
-pub struct Edf {
-    queue: KeyedQueue<u64>,
-    obs: ObserverSlot,
-}
+pub type Edf = Keyed<EdfRule>;
 
-impl Edf {
-    /// New empty EDF policy.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
+/// [`Edf`]'s key: the deadline.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct EdfRule;
 
-impl Scheduler for Edf {
-    fn name(&self) -> &str {
-        "EDF"
-    }
-
-    fn on_ready(&mut self, t: TxnId, table: &TxnTable, _now: SimTime) {
-        self.queue.insert(t.0, table.deadline(t).ticks());
-    }
-
-    fn on_requeue(&mut self, _t: TxnId, _table: &TxnTable, _now: SimTime) {
-        // Deadline is static.
-    }
-
-    fn on_complete(&mut self, t: TxnId, _table: &TxnTable, _now: SimTime) {
-        self.queue.remove(t.0);
-    }
-
-    fn select(&mut self, table: &TxnTable, now: SimTime) -> Option<TxnId> {
-        let chosen = self.queue.peek_id().map(TxnId);
-        if let Some(c) = chosen {
-            emit_single(&self.obs, table, now, c, self.queue.len());
-        }
-        chosen
-    }
-
-    fn select_many(&mut self, table: &TxnTable, now: SimTime, slots: usize, out: &mut Vec<TxnId>) {
-        // One ordered pass over the queue fills every slot without the
-        // `top_k` allocation (same entries `top_k_into` would surface).
-        for (_, id) in self.queue.iter().take(slots) {
-            let c = TxnId(id);
-            emit_single(&self.obs, table, now, c, self.queue.len());
-            out.push(c);
-        }
-    }
-
-    fn attach_observer(&mut self, obs: crate::obs::SharedObserver) {
-        self.obs.attach(obs);
+impl KeyRule for EdfRule {
+    type Key = u64;
+    const NAME: &'static str = "EDF";
+    const REKEY_ON_PAUSE: bool = false;
+    fn key(&self, table: &TxnTable, t: TxnId) -> u64 {
+        table.deadline(t).ticks()
     }
 }
 
 /// Shortest-Remaining-Processing-Time: the smallest `r_i` wins. Optimal for
 /// mean response time (Schroeder & Harchol-Balter), hence optimal for
 /// tardiness once *every* deadline is already missed (§III-A.1).
-#[derive(Debug, Default)]
-pub struct Srpt {
-    queue: KeyedQueue<u64>,
-    obs: ObserverSlot,
-}
+pub type Srpt = Keyed<SrptRule>;
 
-impl Srpt {
-    /// New empty SRPT policy.
-    pub fn new() -> Self {
-        Self::default()
+/// [`Srpt`]'s key: the remaining time.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct SrptRule;
+
+impl KeyRule for SrptRule {
+    type Key = u64;
+    const NAME: &'static str = "SRPT";
+    const REKEY_ON_PAUSE: bool = true;
+    fn key(&self, table: &TxnTable, t: TxnId) -> u64 {
+        table.remaining(t).ticks()
     }
 }
 
-impl Scheduler for Srpt {
-    fn name(&self) -> &str {
-        "SRPT"
-    }
+/// Least-Slack: priority = `1/s_i` (Abbott & Garcia-Molina).
+pub type LeastSlack = Keyed<LeastSlackRule>;
 
-    fn on_ready(&mut self, t: TxnId, table: &TxnTable, _now: SimTime) {
-        self.queue.insert(t.0, table.remaining(t).ticks());
-    }
+/// [`LeastSlack`]'s key. At any common instant `t`, ordering by slack
+/// `d_i - (t + r_i)` is ordering by the latest start time `d_i - r_i`, so
+/// the key is that signed difference and changes only with `r`.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct LeastSlackRule;
 
-    fn on_requeue(&mut self, t: TxnId, table: &TxnTable, _now: SimTime) {
-        self.queue.rekey(t.0, table.remaining(t).ticks());
-    }
-
-    fn on_complete(&mut self, t: TxnId, _table: &TxnTable, _now: SimTime) {
-        self.queue.remove(t.0);
-    }
-
-    fn select(&mut self, table: &TxnTable, now: SimTime) -> Option<TxnId> {
-        let chosen = self.queue.peek_id().map(TxnId);
-        if let Some(c) = chosen {
-            emit_single(&self.obs, table, now, c, self.queue.len());
-        }
-        chosen
-    }
-
-    fn select_many(&mut self, table: &TxnTable, now: SimTime, slots: usize, out: &mut Vec<TxnId>) {
-        // One ordered pass over the queue fills every slot without the
-        // `top_k` allocation (same entries `top_k_into` would surface).
-        for (_, id) in self.queue.iter().take(slots) {
-            let c = TxnId(id);
-            emit_single(&self.obs, table, now, c, self.queue.len());
-            out.push(c);
-        }
-    }
-
-    fn attach_observer(&mut self, obs: crate::obs::SharedObserver) {
-        self.obs.attach(obs);
-    }
-}
-
-/// Least-Slack: priority = `1/s_i` (Abbott & Garcia-Molina). At any common
-/// instant `t`, ordering by slack `d_i - (t + r_i)` is ordering by the
-/// static quantity `d_i - r_i` (the latest start time), so the key is signed
-/// `d - r` and only needs re-keying when `r` changes.
-#[derive(Debug, Default)]
-pub struct LeastSlack {
-    queue: KeyedQueue<i128>,
-    obs: ObserverSlot,
-}
-
-impl LeastSlack {
-    /// New empty Least-Slack policy.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn key(table: &TxnTable, t: TxnId) -> i128 {
+impl KeyRule for LeastSlackRule {
+    type Key = i128;
+    const NAME: &'static str = "LS";
+    const REKEY_ON_PAUSE: bool = true;
+    fn key(&self, table: &TxnTable, t: TxnId) -> i128 {
         table.deadline(t).ticks() as i128 - table.remaining(t).ticks() as i128
-    }
-}
-
-impl Scheduler for LeastSlack {
-    fn name(&self) -> &str {
-        "LS"
-    }
-
-    fn on_ready(&mut self, t: TxnId, table: &TxnTable, _now: SimTime) {
-        self.queue.insert(t.0, Self::key(table, t));
-    }
-
-    fn on_requeue(&mut self, t: TxnId, table: &TxnTable, _now: SimTime) {
-        self.queue.rekey(t.0, Self::key(table, t));
-    }
-
-    fn on_complete(&mut self, t: TxnId, _table: &TxnTable, _now: SimTime) {
-        self.queue.remove(t.0);
-    }
-
-    fn select(&mut self, table: &TxnTable, now: SimTime) -> Option<TxnId> {
-        let chosen = self.queue.peek_id().map(TxnId);
-        if let Some(c) = chosen {
-            emit_single(&self.obs, table, now, c, self.queue.len());
-        }
-        chosen
-    }
-
-    fn select_many(&mut self, table: &TxnTable, now: SimTime, slots: usize, out: &mut Vec<TxnId>) {
-        // One ordered pass over the queue fills every slot without the
-        // `top_k` allocation (same entries `top_k_into` would surface).
-        for (_, id) in self.queue.iter().take(slots) {
-            let c = TxnId(id);
-            emit_single(&self.obs, table, now, c, self.queue.len());
-            out.push(c);
-        }
-    }
-
-    fn attach_observer(&mut self, obs: crate::obs::SharedObserver) {
-        self.obs.attach(obs);
     }
 }
 
 /// Highest-Density-First: priority = `w_i / r_i` (Becchetti et al.) —
 /// optimal for weighted tardiness when every deadline is already missed.
 /// Reduces to SRPT when all weights are equal.
-#[derive(Debug, Default)]
-pub struct Hdf {
-    queue: KeyedQueue<Reverse<Ratio>>,
-    obs: ObserverSlot,
-}
+pub type Hdf = Keyed<HdfRule>;
 
-impl Hdf {
-    /// New empty HDF policy.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// [`Hdf`]'s key: the exact density `w/r`, reversed so the densest is
+/// smallest.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct HdfRule;
 
-    fn key(table: &TxnTable, t: TxnId) -> Reverse<Ratio> {
+impl KeyRule for HdfRule {
+    type Key = Reverse<Ratio>;
+    const NAME: &'static str = "HDF";
+    const REKEY_ON_PAUSE: bool = true;
+    fn key(&self, table: &TxnTable, t: TxnId) -> Reverse<Ratio> {
         Reverse(Ratio::new(
             table.weight(t).get() as u64,
             table.remaining(t).ticks(),
@@ -300,43 +238,62 @@ impl Hdf {
     }
 }
 
-impl Scheduler for Hdf {
-    fn name(&self) -> &str {
-        "HDF"
+/// MIX (Buttazzo, Spuri & Sensini, RTSS '95), the related-work baseline
+/// the paper contrasts ASETS\* against in §V: a **static linear
+/// combination of deadline and value**, `key_i = d_i − γ·w_i`, smallest
+/// first. γ = 0 is plain EDF; large γ approaches Highest-Value-First. The
+/// paper's criticism, which the `mix_parameter` ablation lets you verify,
+/// is that γ is *static*: "ASETS\* automatically adapts to different
+/// workloads, switching between HDF and EDF, while MIX statically combines
+/// both of them using a system parameter".
+pub type Mix = Keyed<MixRule>;
+
+/// [`Mix`]'s key `d − γ·w`.
+#[derive(Debug, Clone, Copy)]
+pub struct MixRule {
+    /// Value factor γ: how many time units of deadline one unit of weight
+    /// buys.
+    pub gamma: SimDuration,
+}
+
+impl KeyRule for MixRule {
+    type Key = i128;
+    const NAME: &'static str = "MIX";
+    const REKEY_ON_PAUSE: bool = false;
+    fn key(&self, table: &TxnTable, t: TxnId) -> i128 {
+        table.deadline(t).ticks() as i128
+            - self.gamma.ticks() as i128 * table.weight(t).get() as i128
+    }
+}
+
+impl Mix {
+    /// Build MIX with value factor `gamma`.
+    pub fn new(gamma: SimDuration) -> Mix {
+        Keyed::with_rule(MixRule { gamma })
     }
 
-    fn on_ready(&mut self, t: TxnId, table: &TxnTable, _now: SimTime) {
-        self.queue.insert(t.0, Self::key(table, t));
+    /// The configured value factor.
+    pub fn gamma(&self) -> SimDuration {
+        self.rule.gamma
     }
+}
 
-    fn on_requeue(&mut self, t: TxnId, table: &TxnTable, _now: SimTime) {
-        self.queue.rekey(t.0, Self::key(table, t));
-    }
+/// Highest-Value-First (Buttazzo et al., the other §V pole): priority is
+/// the weight alone — deadline-oblivious, the mirror image of EDF's
+/// value-obliviousness. Equivalent to [`Mix`] in the γ → ∞ limit, but with
+/// exact (not scaled) ordering.
+pub type Hvf = Keyed<HvfRule>;
 
-    fn on_complete(&mut self, t: TxnId, _table: &TxnTable, _now: SimTime) {
-        self.queue.remove(t.0);
-    }
+/// [`Hvf`]'s key: the weight, reversed so the heaviest is smallest.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct HvfRule;
 
-    fn select(&mut self, table: &TxnTable, now: SimTime) -> Option<TxnId> {
-        let chosen = self.queue.peek_id().map(TxnId);
-        if let Some(c) = chosen {
-            emit_single(&self.obs, table, now, c, self.queue.len());
-        }
-        chosen
-    }
-
-    fn select_many(&mut self, table: &TxnTable, now: SimTime, slots: usize, out: &mut Vec<TxnId>) {
-        // One ordered pass over the queue fills every slot without the
-        // `top_k` allocation (same entries `top_k_into` would surface).
-        for (_, id) in self.queue.iter().take(slots) {
-            let c = TxnId(id);
-            emit_single(&self.obs, table, now, c, self.queue.len());
-            out.push(c);
-        }
-    }
-
-    fn attach_observer(&mut self, obs: crate::obs::SharedObserver) {
-        self.obs.attach(obs);
+impl KeyRule for HvfRule {
+    type Key = Reverse<u32>;
+    const NAME: &'static str = "HVF";
+    const REKEY_ON_PAUSE: bool = false;
+    fn key(&self, table: &TxnTable, t: TxnId) -> Reverse<u32> {
+        Reverse(table.weight(t).get())
     }
 }
 
@@ -397,7 +354,7 @@ impl Scheduler for Ready {
         self.inner.on_stolen(t, table, now);
     }
 
-    fn attach_observer(&mut self, obs: crate::obs::SharedObserver) {
+    fn attach_observer(&mut self, obs: SharedObserver) {
         self.inner.attach_observer(obs);
     }
 }
@@ -405,8 +362,10 @@ impl Scheduler for Ready {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
+    use crate::obs::{share, Observer};
     use crate::txn::{TxnSpec, Weight};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn at(u: u64) -> SimTime {
         SimTime::from_units_int(u)
@@ -435,6 +394,24 @@ mod tests {
             policy.on_ready(TxnId(t), &tbl, at(2));
         }
         tbl
+    }
+
+    /// Two arrived transactions at 0 for the value-based policies:
+    /// T0: d=10, w=1. T1: d=14, w=9.
+    fn value_table() -> TxnTable {
+        let mut tbl = TxnTable::new(vec![
+            TxnSpec::independent(at(0), at(10), units(2), Weight(1)),
+            TxnSpec::independent(at(0), at(14), units(2), Weight(9)),
+        ])
+        .unwrap();
+        tbl.arrive(TxnId(0), at(0));
+        tbl.arrive(TxnId(1), at(0));
+        tbl
+    }
+
+    fn readied_both(p: &mut dyn Scheduler, tbl: &TxnTable) {
+        p.on_ready(TxnId(0), tbl, at(0));
+        p.on_ready(TxnId(1), tbl, at(0));
     }
 
     #[test]
@@ -574,9 +551,114 @@ mod tests {
             &mut Srpt::new(),
             &mut LeastSlack::new(),
             &mut Hdf::new(),
+            &mut Mix::new(units(1)),
+            &mut Hvf::new(),
             &mut Ready::new(),
         ] {
             assert_eq!(p.select(&tbl, at(0)), None);
         }
+    }
+
+    #[test]
+    fn every_keyed_policy_records_its_decisions() {
+        #[derive(Default)]
+        struct Decisions(Vec<(DecisionRule, TxnId, u32)>);
+        impl Observer for Decisions {
+            fn decision(&mut self, rec: &DecisionRecord) {
+                self.0.push((rec.rule, rec.chosen, rec.edf_len));
+            }
+        }
+        for mut p in [
+            Box::new(Fcfs::new()) as Box<dyn Scheduler>,
+            Box::new(Edf::new()),
+            Box::new(Srpt::new()),
+            Box::new(LeastSlack::new()),
+            Box::new(Hdf::new()),
+            Box::new(Mix::new(units(1))),
+            Box::new(Hvf::new()),
+        ] {
+            let rec = Rc::new(RefCell::new(Decisions::default()));
+            p.attach_observer(share(&rec));
+            let tbl = readied(&mut p);
+            let chosen = p.select(&tbl, at(2)).unwrap();
+            let mut ranked = Vec::new();
+            p.select_many(&tbl, at(2), 2, &mut ranked);
+            let expected: Vec<_> = std::iter::once(chosen)
+                .chain(ranked)
+                .map(|t| (DecisionRule::Priority, t, 3))
+                .collect();
+            assert_eq!(rec.borrow().0, expected, "{}", p.name());
+        }
+    }
+
+    #[test]
+    fn gamma_zero_is_edf() {
+        let tbl = value_table();
+        let mut p = Mix::new(SimDuration::ZERO);
+        readied_both(&mut p, &tbl);
+        assert_eq!(p.select(&tbl, at(0)), Some(TxnId(0)), "earliest deadline");
+    }
+
+    #[test]
+    fn large_gamma_prefers_value() {
+        let tbl = value_table();
+        // γ=1: keys 10−1=9 vs 14−9=5 → the heavy transaction wins despite
+        // the later deadline.
+        let mut p = Mix::new(units(1));
+        readied_both(&mut p, &tbl);
+        assert_eq!(p.select(&tbl, at(0)), Some(TxnId(1)));
+        assert_eq!(p.gamma(), units(1));
+    }
+
+    #[test]
+    fn key_can_go_negative() {
+        let mut tbl = TxnTable::new(vec![TxnSpec::independent(
+            at(0),
+            at(1),
+            units(1),
+            Weight(10),
+        )])
+        .unwrap();
+        let mut p = Mix::new(units(1000));
+        tbl.arrive(TxnId(0), at(0));
+        p.on_ready(TxnId(0), &tbl, at(0));
+        assert_eq!(p.select(&tbl, at(0)), Some(TxnId(0)));
+    }
+
+    #[test]
+    fn completion_removes() {
+        for mut p in [
+            Box::new(Mix::new(units(1))) as Box<dyn Scheduler>,
+            Box::new(Hvf::new()),
+        ] {
+            let mut tbl = value_table();
+            readied_both(&mut p, &tbl);
+            tbl.start_running(TxnId(1));
+            tbl.complete(TxnId(1), at(2), units(2));
+            p.on_complete(TxnId(1), &tbl, at(2));
+            assert_eq!(p.select(&tbl, at(2)), Some(TxnId(0)), "{}", p.name());
+        }
+    }
+
+    #[test]
+    fn hvf_picks_heaviest_regardless_of_deadline() {
+        let tbl = value_table(); // T0: d=10 w=1; T1: d=14 w=9
+        let mut p = Hvf::new();
+        readied_both(&mut p, &tbl);
+        assert_eq!(p.select(&tbl, at(0)), Some(TxnId(1)));
+    }
+
+    #[test]
+    fn hvf_ties_break_by_id() {
+        let mut tbl = TxnTable::new(vec![
+            TxnSpec::independent(at(0), at(10), units(2), Weight(5)),
+            TxnSpec::independent(at(0), at(5), units(2), Weight(5)),
+        ])
+        .unwrap();
+        tbl.arrive(TxnId(0), at(0));
+        tbl.arrive(TxnId(1), at(0));
+        let mut p = Hvf::new();
+        readied_both(&mut p, &tbl);
+        assert_eq!(p.select(&tbl, at(0)), Some(TxnId(0)));
     }
 }

@@ -7,6 +7,11 @@
 //! `indexed.select(..) == naive.select(..)` over random workloads exercises
 //! exactly the bookkeeping that is hard to get right.
 //!
+//! The single-list twins (FCFS, EDF, SRPT, LS, HDF, HVF, MIX) also rank
+//! for multi-server pools: their `select_many` sorts the ready set by
+//! `(key, id)` and takes the first `slots`, the oracle for the indexed
+//! policies' one ordered queue pass.
+//!
 //! They also serve as executable specifications: if the paper's prose and
 //! the indexed implementation ever seem to disagree, the few lines of the
 //! oracle are the ground truth to read.
@@ -20,7 +25,7 @@ use super::asets_star::{edf_wins, hdf_key};
 use super::{AsetsStarConfig, Ratio, Scheduler};
 use crate::queue::KeyedQueue;
 use crate::table::TxnTable;
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 use crate::txn::{TxnId, TxnPhase};
 use crate::workflow::{HeadRule, WfId, WorkflowSet};
 use std::cmp::Reverse;
@@ -33,11 +38,35 @@ fn scan_min_by_key<K: Ord>(table: &TxnTable, key: impl Fn(TxnId) -> K) -> Option
         .min_by_key(|&t| (key(t), t)) // tie-break by id, like KeyedQueue
 }
 
+/// Scan-and-sort ranking for `select_many`: every ready transaction sorted
+/// by `(key, id)`, the first `slots` appended to `out`.
+fn scan_rank_by_key<K: Ord>(
+    table: &TxnTable,
+    slots: usize,
+    key: impl Fn(TxnId) -> K,
+    out: &mut Vec<TxnId>,
+) {
+    let mut ranked: Vec<(K, TxnId)> = table
+        .ids()
+        .filter(|&t| table.state(t).is_ready())
+        .map(|t| (key(t), t))
+        .collect();
+    ranked.sort_unstable();
+    out.extend(ranked.into_iter().take(slots).map(|(_, t)| t));
+}
+
 macro_rules! naive_policy {
     ($(#[$doc:meta])* $name:ident, $label:literal, |$table:ident, $now:ident, $t:ident| $key:expr) => {
         $(#[$doc])*
         #[derive(Debug, Default)]
         pub struct $name;
+
+        impl $name {
+            fn key($table: &TxnTable, $now: SimTime, $t: TxnId) -> impl Ord {
+                let _ = $now;
+                $key
+            }
+        }
 
         impl Scheduler for $name {
             fn name(&self) -> &str {
@@ -46,9 +75,17 @@ macro_rules! naive_policy {
             fn on_ready(&mut self, _t: TxnId, _table: &TxnTable, _now: SimTime) {}
             fn on_requeue(&mut self, _t: TxnId, _table: &TxnTable, _now: SimTime) {}
             fn on_complete(&mut self, _t: TxnId, _table: &TxnTable, _now: SimTime) {}
-            fn select(&mut self, $table: &TxnTable, $now: SimTime) -> Option<TxnId> {
-                let _ = $now;
-                scan_min_by_key($table, |$t| $key)
+            fn select(&mut self, table: &TxnTable, now: SimTime) -> Option<TxnId> {
+                scan_min_by_key(table, |t| Self::key(table, now, t))
+            }
+            fn select_many(
+                &mut self,
+                table: &TxnTable,
+                now: SimTime,
+                slots: usize,
+                out: &mut Vec<TxnId>,
+            ) {
+                scan_rank_by_key(table, slots, |t| Self::key(table, now, t), out);
             }
         }
     };
@@ -86,6 +123,40 @@ naive_policy!(
         (r << 32) / w
     }
 );
+naive_policy!(
+    /// O(n) HVF: max weight, i.e. min of the weight's distance below
+    /// `u32::MAX`.
+    NaiveHvf, "naive-HVF", |table, now, t| u32::MAX - table.weight(t).get()
+);
+
+/// O(n) MIX: min `d − γ·w`, in signed ticks.
+#[derive(Debug, Clone, Copy)]
+pub struct NaiveMix {
+    /// Value factor γ: time units of deadline per unit of weight.
+    pub gamma: SimDuration,
+}
+
+impl NaiveMix {
+    fn key(&self, table: &TxnTable, t: TxnId) -> i128 {
+        let value = i128::from(self.gamma.ticks()) * i128::from(table.weight(t).get());
+        i128::from(table.deadline(t).ticks()) - value
+    }
+}
+
+impl Scheduler for NaiveMix {
+    fn name(&self) -> &str {
+        "naive-MIX"
+    }
+    fn on_ready(&mut self, _t: TxnId, _table: &TxnTable, _now: SimTime) {}
+    fn on_requeue(&mut self, _t: TxnId, _table: &TxnTable, _now: SimTime) {}
+    fn on_complete(&mut self, _t: TxnId, _table: &TxnTable, _now: SimTime) {}
+    fn select(&mut self, table: &TxnTable, _now: SimTime) -> Option<TxnId> {
+        scan_min_by_key(table, |t| self.key(table, t))
+    }
+    fn select_many(&mut self, table: &TxnTable, _now: SimTime, slots: usize, out: &mut Vec<TxnId>) {
+        scan_rank_by_key(table, slots, |t| self.key(table, t), out);
+    }
+}
 
 /// O(n) transaction-level ASETS: partition ready transactions by Definition
 /// 6/7 feasibility, take the deadline-min and remaining-min of the halves,
@@ -458,7 +529,6 @@ pub fn check_precedence_invariant(table: &TxnTable) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
     use crate::txn::{TxnSpec, Weight};
 
     fn at(u: u64) -> SimTime {
@@ -489,6 +559,30 @@ mod tests {
         assert_eq!(NaiveSrpt.select(&tbl, at(2)), Some(TxnId(0)));
         assert_eq!(NaiveLs.select(&tbl, at(2)), Some(TxnId(1)));
         assert_eq!(NaiveHdf.select(&tbl, at(2)), Some(TxnId(2)));
+        assert_eq!(NaiveHvf.select(&tbl, at(2)), Some(TxnId(2)));
+        // γ=1: d−w = 29, 8, 11.
+        let mut mix = NaiveMix { gamma: units(1) };
+        assert_eq!(mix.select(&tbl, at(2)), Some(TxnId(1)));
+    }
+
+    #[test]
+    fn naive_select_many_ranks_by_key_then_id() {
+        let tbl = ready_table();
+        let mut out = Vec::new();
+        NaiveEdf.select_many(&tbl, at(2), 2, &mut out);
+        assert_eq!(out, vec![TxnId(1), TxnId(2)], "deadlines 10 then 20");
+        out.clear();
+        NaiveMix { gamma: units(1) }.select_many(&tbl, at(2), 5, &mut out);
+        assert_eq!(out, vec![TxnId(1), TxnId(2), TxnId(0)]);
+        // Equal keys rank toward the smaller id.
+        let one = TxnSpec::independent(at(0), at(9), units(1), Weight(1));
+        let mut tied = TxnTable::new(vec![one; 3]).unwrap();
+        for t in 0..3u32 {
+            tied.arrive(TxnId(t), at(0));
+        }
+        out.clear();
+        NaiveHvf.select_many(&tied, at(0), 3, &mut out);
+        assert_eq!(out, vec![TxnId(0), TxnId(1), TxnId(2)]);
     }
 
     #[test]

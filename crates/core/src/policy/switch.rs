@@ -15,8 +15,7 @@
 //! `load_switch` ablation demonstrates (a batch of short-but-tight
 //! transactions overloads the system at a low measured utilization).
 
-use super::Scheduler;
-use crate::queue::KeyedQueue;
+use super::{Edf, Scheduler, Srpt};
 use crate::table::TxnTable;
 use crate::time::{SimDuration, SimTime};
 use crate::txn::TxnId;
@@ -30,10 +29,10 @@ pub struct LoadSwitch {
     threshold: f64,
     /// Sliding estimation window.
     window: SimDuration,
-    /// EDF view of the ready set (deadline keys).
-    edf: KeyedQueue<u64>,
-    /// SRPT view of the ready set (remaining keys).
-    srpt: KeyedQueue<u64>,
+    /// EDF view of the ready set.
+    edf: Edf,
+    /// SRPT view of the ready set.
+    srpt: Srpt,
     /// Recent arrivals: (arrival time, total work).
     recent: VecDeque<(SimTime, SimDuration)>,
     /// Sum of work in `recent`.
@@ -58,8 +57,8 @@ impl LoadSwitch {
         LoadSwitch {
             threshold,
             window,
-            edf: KeyedQueue::new(),
-            srpt: KeyedQueue::new(),
+            edf: Edf::new(),
+            srpt: Srpt::new(),
             recent: VecDeque::new(),
             pending_work: SimDuration::ZERO,
             srpt_decisions: 0,
@@ -87,6 +86,21 @@ impl LoadSwitch {
     pub fn mode_decisions(&self) -> (u64, u64) {
         (self.edf_decisions, self.srpt_decisions)
     }
+
+    /// The view to decide from at `now`, counting the decision; `None` iff
+    /// nothing is ready.
+    fn mode(&mut self, now: SimTime) -> Option<&mut dyn Scheduler> {
+        if self.edf.is_empty() {
+            return None;
+        }
+        if self.estimated_load(now) >= self.threshold {
+            self.srpt_decisions += 1;
+            Some(&mut self.srpt)
+        } else {
+            self.edf_decisions += 1;
+            Some(&mut self.edf)
+        }
+    }
 }
 
 impl Scheduler for LoadSwitch {
@@ -94,9 +108,9 @@ impl Scheduler for LoadSwitch {
         "LoadSwitch"
     }
 
-    fn on_ready(&mut self, t: TxnId, table: &TxnTable, _now: SimTime) {
-        self.edf.insert(t.0, table.deadline(t).ticks());
-        self.srpt.insert(t.0, table.remaining(t).ticks());
+    fn on_ready(&mut self, t: TxnId, table: &TxnTable, now: SimTime) {
+        self.edf.on_ready(t, table, now);
+        self.srpt.on_ready(t, table, now);
         // Load accounting keys off *submission*: a released dependent was
         // already counted at its arrival.
         let spec = table.spec(t);
@@ -106,43 +120,25 @@ impl Scheduler for LoadSwitch {
         }
     }
 
-    fn on_requeue(&mut self, t: TxnId, table: &TxnTable, _now: SimTime) {
-        self.srpt.rekey(t.0, table.remaining(t).ticks());
+    fn on_requeue(&mut self, t: TxnId, table: &TxnTable, now: SimTime) {
+        self.srpt.on_requeue(t, table, now);
     }
 
-    fn on_complete(&mut self, t: TxnId, _table: &TxnTable, _now: SimTime) {
-        self.edf.remove(t.0);
-        self.srpt.remove(t.0);
+    fn on_complete(&mut self, t: TxnId, table: &TxnTable, now: SimTime) {
+        self.edf.on_complete(t, table, now);
+        self.srpt.on_complete(t, table, now);
     }
 
-    fn select(&mut self, _table: &TxnTable, now: SimTime) -> Option<TxnId> {
-        if self.edf.is_empty() {
-            return None;
-        }
-        if self.estimated_load(now) >= self.threshold {
-            self.srpt_decisions += 1;
-            self.srpt.peek_id().map(TxnId)
-        } else {
-            self.edf_decisions += 1;
-            self.edf.peek_id().map(TxnId)
-        }
+    fn select(&mut self, table: &TxnTable, now: SimTime) -> Option<TxnId> {
+        self.mode(now)?.select(table, now)
     }
 
-    fn select_many(&mut self, _table: &TxnTable, now: SimTime, slots: usize, out: &mut Vec<TxnId>) {
+    fn select_many(&mut self, table: &TxnTable, now: SimTime, slots: usize, out: &mut Vec<TxnId>) {
         // One mode decision per scheduling point (the estimate is a
-        // function of `now` alone), then one ordered pass over the winning
-        // queue fills every slot.
-        if self.edf.is_empty() {
-            return;
+        // function of `now` alone), then the winning view fills every slot.
+        if let Some(view) = self.mode(now) {
+            view.select_many(table, now, slots, out);
         }
-        let queue = if self.estimated_load(now) >= self.threshold {
-            self.srpt_decisions += 1;
-            &self.srpt
-        } else {
-            self.edf_decisions += 1;
-            &self.edf
-        };
-        out.extend(queue.iter().take(slots).map(|(_, id)| TxnId(id)));
     }
 }
 

@@ -20,30 +20,13 @@
 //! `--scrape ADDR` (live scrape endpoint, `:0` picks a port),
 //! `--flight-out PATH` (admission flight dump for `asets-obs`), `--quiet`.
 
-use asets_core::policy::{ImpactRule, PolicyKind};
+use asets_experiments::config::{parse_policy, policy_names};
 use asets_experiments::serve::{
     check_conservation, run_serve_with, ServeConfig, ServeMode, ServeTelemetry,
 };
 use asets_obs::FlightRecorder;
 use std::process::ExitCode;
 use std::time::Duration;
-
-fn parse_policy(name: &str) -> Result<PolicyKind, String> {
-    Ok(match name {
-        "fcfs" => PolicyKind::Fcfs,
-        "edf" => PolicyKind::Edf,
-        "srpt" => PolicyKind::Srpt,
-        "ls" | "least-slack" => PolicyKind::LeastSlack,
-        "hdf" => PolicyKind::Hdf,
-        "asets" => PolicyKind::Asets,
-        "hvf" => PolicyKind::Hvf,
-        "ready" => PolicyKind::Ready,
-        "asets-star" | "asets_star" => PolicyKind::AsetsStar {
-            impact: ImpactRule::Paper,
-        },
-        other => return Err(format!("unknown policy `{other}`")),
-    })
-}
 
 struct Cli {
     cfg: ServeConfig,
@@ -107,7 +90,11 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                         .map_err(|e| format!("--think: {e}"))?,
                 )
             }
-            "--policy" => cfg.policy = parse_policy(&next_val(&mut it, "--policy")?)?,
+            "--policy" => {
+                let name = next_val(&mut it, "--policy")?;
+                cfg.policy = parse_policy(&name)
+                    .ok_or_else(|| format!("unknown policy `{name}` ({})", policy_names()))?
+            }
             "--servers" => {
                 cfg.servers = next_val(&mut it, "--servers")?
                     .parse()

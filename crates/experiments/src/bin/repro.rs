@@ -19,7 +19,9 @@
 //! Figures: table1, fig8, fig9, fig10, fig11, fig12, fig13, alpha, fig14,
 //! fig15, fig16, fig17, ablations.
 
-use asets_experiments::config::{ExpConfig, FigureId};
+use asets_core::policy::PolicyKind;
+use asets_core::txn::TxnSpec;
+use asets_experiments::config::{parse_policy, policy_names, ExpConfig, FigureId};
 use asets_experiments::figures::run_figure;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -55,29 +57,33 @@ fn dump(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The `<file> <policy>` arguments `replay` and `gantt` share: the archived
+/// batch and the policy to run it under. Prints the problem (`usage` for
+/// missing arguments) and returns `None` on failure.
+fn load_batch(args: &[String], usage: &str) -> Option<(Vec<TxnSpec>, PolicyKind)> {
+    let (Some(path), Some(policy)) = (args.first(), args.get(1)) else {
+        eprintln!("usage: {usage}");
+        return None;
+    };
+    let Some(kind) = parse_policy(policy) else {
+        eprintln!("unknown policy `{policy}`");
+        return None;
+    };
+    match asets_workload::load(std::path::Path::new(path)) {
+        Ok(specs) => Some((specs, kind)),
+        Err(e) => {
+            eprintln!("{e}");
+            None
+        }
+    }
+}
+
 /// `repro replay <file> <policy> [--obs-out <dir>]` — simulate an archived
 /// batch, optionally with a flight recorder attached.
 fn replay(args: &[String], obs_out: Option<&PathBuf>) -> ExitCode {
-    let (Some(path), Some(policy)) = (args.first(), args.get(1)) else {
-        eprintln!(
-            "usage: repro replay <file> <fcfs|edf|srpt|ls|hdf|asets|ready|asets-star> \
-             [--obs-out <dir>]"
-        );
+    let usage = format!("repro replay <file> <{}> [--obs-out <dir>]", policy_names());
+    let Some((specs, kind)) = load_batch(args, &usage) else {
         return ExitCode::FAILURE;
-    };
-    let kind = match parse_policy(policy) {
-        Some(k) => k,
-        None => {
-            eprintln!("unknown policy `{policy}`");
-            return ExitCode::FAILURE;
-        }
-    };
-    let specs = match asets_workload::load(std::path::Path::new(path)) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
     };
     let observed = match obs_out {
         Some(dir) => {
@@ -162,23 +168,9 @@ fn spans(args: &[String]) -> ExitCode {
 /// `repro gantt <file> <policy>` — render an archived batch's schedule as
 /// an ASCII Gantt chart (keep the batch small; one row per transaction).
 fn gantt(args: &[String]) -> ExitCode {
-    let (Some(path), Some(policy)) = (args.first(), args.get(1)) else {
-        eprintln!("usage: repro gantt <file> <policy>");
+    let usage = format!("repro gantt <file> <{}>", policy_names());
+    let Some((specs, kind)) = load_batch(args, &usage) else {
         return ExitCode::FAILURE;
-    };
-    let kind = match parse_policy(policy) {
-        Some(k) => k,
-        None => {
-            eprintln!("unknown policy `{policy}`");
-            return ExitCode::FAILURE;
-        }
-    };
-    let specs = match asets_workload::load(std::path::Path::new(path)) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
     };
     if specs.len() > 60 {
         eprintln!(
@@ -202,22 +194,6 @@ fn gantt(args: &[String]) -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-fn parse_policy(name: &str) -> Option<asets_core::policy::PolicyKind> {
-    use asets_core::policy::PolicyKind;
-    Some(match name {
-        "fcfs" => PolicyKind::Fcfs,
-        "edf" => PolicyKind::Edf,
-        "srpt" => PolicyKind::Srpt,
-        "ls" => PolicyKind::LeastSlack,
-        "hdf" => PolicyKind::Hdf,
-        "hvf" => PolicyKind::Hvf,
-        "asets" => PolicyKind::Asets,
-        "ready" => PolicyKind::Ready,
-        "asets-star" => PolicyKind::asets_star(),
-        _ => return None,
-    })
 }
 
 fn usage() -> ExitCode {

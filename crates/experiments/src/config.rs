@@ -4,7 +4,11 @@
 //! resolution and the averaging protocol. The default is the paper protocol
 //! (1000 transactions, five seeds, utilization 0.1…1.0 in steps of 0.1);
 //! `quick()` is a scaled-down version for smoke tests and CI.
+//!
+//! [`parse_policy`] is the one policy-name parser of the command-line
+//! tools (`repro replay`/`gantt`, `asets-serve --policy`).
 
+use asets_core::policy::{ImpactRule, PolicyKind};
 use asets_workload::PAPER_SEEDS;
 use serde::{Deserialize, Serialize};
 
@@ -168,9 +172,69 @@ impl FigureId {
     }
 }
 
+/// Every policy name the command-line tools accept, with the kind it
+/// builds; some kinds have two spellings.
+const POLICY_NAMES: [(&str, PolicyKind); 11] = [
+    ("fcfs", PolicyKind::Fcfs),
+    ("edf", PolicyKind::Edf),
+    ("srpt", PolicyKind::Srpt),
+    ("ls", PolicyKind::LeastSlack),
+    ("least-slack", PolicyKind::LeastSlack),
+    ("hdf", PolicyKind::Hdf),
+    ("hvf", PolicyKind::Hvf),
+    ("asets", PolicyKind::Asets),
+    ("ready", PolicyKind::Ready),
+    ("asets-star", ASETS_STAR),
+    ("asets_star", ASETS_STAR),
+];
+
+const ASETS_STAR: PolicyKind = PolicyKind::AsetsStar {
+    impact: ImpactRule::Paper,
+};
+
+/// Parse a command-line policy name, one of [`policy_names`].
+pub fn parse_policy(name: &str) -> Option<PolicyKind> {
+    POLICY_NAMES
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|&(_, kind)| kind)
+}
+
+/// The accepted policy names joined by `|`, for usage lines.
+pub fn policy_names() -> String {
+    POLICY_NAMES.map(|(n, _)| n).join("|")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_listed_policy_name_parses() {
+        for (name, kind) in POLICY_NAMES {
+            assert_eq!(parse_policy(name), Some(kind), "{name}");
+            assert!(policy_names().split('|').any(|n| n == name), "{name}");
+        }
+        // Both binaries' former spellings, `hvf` included.
+        for name in [
+            "fcfs",
+            "edf",
+            "srpt",
+            "ls",
+            "least-slack",
+            "hdf",
+            "hvf",
+            "asets",
+            "ready",
+            "asets-star",
+            "asets_star",
+        ] {
+            assert!(parse_policy(name).is_some(), "{name}");
+        }
+        assert_eq!(parse_policy("asets_star"), Some(PolicyKind::asets_star()));
+        assert_eq!(parse_policy("ASETS*"), None);
+        assert_eq!(parse_policy(""), None);
+    }
 
     #[test]
     fn paper_protocol_matches_table_i() {

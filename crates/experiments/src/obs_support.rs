@@ -18,7 +18,6 @@ use asets_core::time::SimDuration;
 use asets_core::txn::TxnSpec;
 use asets_obs::{FlightRecorder, SloMonitor, SpanRecorder, Timeline};
 use asets_sim::{Engine, EventPump, SimResult};
-use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
@@ -241,17 +240,6 @@ pub fn spans_run(
             / asets_core::time::TICKS_PER_UNIT as f64,
         artifacts.trace.display(),
     ))
-}
-
-/// Shareable recorder + observed engine for callers that drive the engine
-/// themselves (the `replay --obs-out` path).
-pub fn attach_new_recorder<S: asets_core::policy::Scheduler>(
-    engine: Engine<S>,
-    capacity: usize,
-) -> (Engine<S>, Rc<RefCell<FlightRecorder>>) {
-    let rec = FlightRecorder::shared(capacity);
-    let engine = engine.with_observer(share(&rec));
-    (engine, rec)
 }
 
 #[cfg(test)]

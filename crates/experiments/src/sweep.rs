@@ -83,18 +83,6 @@ pub fn run_cell(cell: &Cell) -> Result<SimResult, SpecError> {
     simulate(specs, cell.policy).map_err(|e| SpecError(format!("generated workload invalid: {e}")))
 }
 
-/// Run one cell with a flight recorder attached (ring size `capacity`).
-/// Sweeps stay uninstrumented by default; this is the entry point for
-/// pulling decision provenance out of a single interesting cell.
-pub fn run_cell_observed(
-    cell: &Cell,
-    capacity: usize,
-) -> Result<(SimResult, asets_obs::FlightRecorder), SpecError> {
-    let specs = generate(&cell.spec, cell.seed)?;
-    crate::obs_support::run_observed(specs, cell.policy, capacity)
-        .map_err(|e| SpecError(format!("generated workload invalid: {e}")))
-}
-
 /// Run `spec` under `policy` once per seed and average the summaries —
 /// the paper's five-run protocol, parallelized over seeds.
 pub fn run_averaged(

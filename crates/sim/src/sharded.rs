@@ -106,6 +106,9 @@ impl RebalanceConfig {
 
     /// Enable work stealing (up to `k` transactions per grab).
     ///
+    /// An idle thief asks for `min(idle servers, k)` transactions, so on
+    /// one-server pools it asks for one and `k` never acts.
+    ///
     /// # Panics
     /// If `k == 0`.
     pub fn with_steal(mut self, k: usize) -> RebalanceConfig {

@@ -9,8 +9,8 @@
 //! in a run changes some dispatch and fails the test.
 
 use asets_core::policy::reference::{
-    check_precedence_invariant, NaiveAsets, NaiveAsetsStar, NaiveEdf, NaiveFcfs, NaiveHdf, NaiveLs,
-    NaiveSrpt, RescanAsetsStar,
+    check_precedence_invariant, NaiveAsets, NaiveAsetsStar, NaiveEdf, NaiveFcfs, NaiveHdf,
+    NaiveHvf, NaiveLs, NaiveMix, NaiveSrpt, RescanAsetsStar,
 };
 use asets_core::prelude::*;
 use asets_core::table::TxnTable;
@@ -67,6 +67,10 @@ fn finishes<S: Scheduler>(specs: Vec<TxnSpec>, policy: S) -> Vec<SimTime> {
         .collect()
 }
 
+/// MIX's value factor in the oracle tests: two time units per weight unit,
+/// so the value term reorders deadlines that lie up to 16 units apart.
+const GAMMA: SimDuration = SimDuration::from_units_int(2);
+
 macro_rules! oracle_test {
     ($name:ident, $indexed:expr, $naive:expr) => {
         proptest! {
@@ -86,7 +90,60 @@ oracle_test!(edf_matches_oracle, Edf::new(), NaiveEdf);
 oracle_test!(srpt_matches_oracle, Srpt::new(), NaiveSrpt);
 oracle_test!(ls_matches_oracle, LeastSlack::new(), NaiveLs);
 oracle_test!(hdf_matches_oracle, Hdf::new(), NaiveHdf);
+oracle_test!(hvf_matches_oracle, Hvf::new(), NaiveHvf);
+oracle_test!(
+    mix_matches_oracle,
+    Mix::new(GAMMA),
+    NaiveMix { gamma: GAMMA }
+);
 oracle_test!(asets_matches_oracle, Asets::new(), NaiveAsets);
+
+/// The seven single-list policies beside their naive twins, boxed so one
+/// loop can run them all.
+fn keyed_pairs() -> Vec<(Box<dyn Scheduler>, Box<dyn Scheduler>)> {
+    vec![
+        (Box::new(Fcfs::new()), Box::new(NaiveFcfs)),
+        (Box::new(Edf::new()), Box::new(NaiveEdf)),
+        (Box::new(Srpt::new()), Box::new(NaiveSrpt)),
+        (Box::new(LeastSlack::new()), Box::new(NaiveLs)),
+        (Box::new(Hdf::new()), Box::new(NaiveHdf)),
+        (Box::new(Hvf::new()), Box::new(NaiveHvf)),
+        (
+            Box::new(Mix::new(GAMMA)),
+            Box::new(NaiveMix { gamma: GAMMA }),
+        ),
+    ]
+}
+
+fn pool_finishes(specs: Vec<TxnSpec>, policy: Box<dyn Scheduler>, servers: usize) -> Vec<SimTime> {
+    Engine::new(specs, policy)
+        .expect("acyclic by construction")
+        .with_servers(servers)
+        .run()
+        .outcomes
+        .iter()
+        .map(|o| o.finish)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+    /// On M-server pools the engine asks `select_many` for a ranking, so the
+    /// single-list policies' one ordered queue pass is pinned against the
+    /// twins' scan-and-sort: the ready set sorted by `(key, id)`, the
+    /// first `slots` taken.
+    #[test]
+    fn keyed_policies_match_oracles_on_multi_server_pools(specs in workload_strategy(30)) {
+        for servers in [2usize, 3] {
+            for (indexed, naive) in keyed_pairs() {
+                let name = indexed.name().to_string();
+                let a = pool_finishes(specs.clone(), indexed, servers);
+                let b = pool_finishes(specs.clone(), naive, servers);
+                prop_assert_eq!(a, b, "{} M={}", name, servers);
+            }
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
