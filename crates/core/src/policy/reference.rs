@@ -379,7 +379,9 @@ impl RescanAsetsStar {
         let Some(bound) = now.ticks().checked_sub(1) else {
             return;
         };
-        for (_, id) in self.latest_start.drain_up_to(bound) {
+        let mut drained = Vec::new();
+        self.latest_start.drain_up_to_into(bound, &mut drained);
+        for (_, id) in drained {
             let w = WfId(id);
             let removed = self.edf.remove(id);
             debug_assert!(

@@ -108,14 +108,17 @@
 //! it and its server cannot finish the owned backlog before `now + load`
 //! (it finishes exactly then: the server never idles while owned work
 //! remains) — the horizon moves on to the last boundary at or before the
-//! earliest `idle_at`, if that lies further. Both targets are computed by
+//! earliest `idle_at`, if that lies further. With stealing off, a shard
+//! that has already run dry (no load) is left out of that minimum: nothing
+//! can reach it, and it asks for nothing. Both targets are computed by
 //! division (`first_boundary_past`). Between the boundary and that target
 //! no decision can happen:
 //!
 //! * every calendar is empty, so no component is movable and the plan
 //!   moves nothing;
-//! * every shard is still busy at each skipped boundary, so nobody ends a
-//!   window idle, posts a steal request or has one to answer;
+//! * every shard that has not run dry is still busy at each skipped
+//!   boundary, so nobody ends a window idle, posts a steal request or has
+//!   one to answer;
 //! * some shard still holds work, so the run is neither done nor stalled;
 //! * a window's scheduling points do not depend on where its horizon
 //!   falls: one long window steps the same points as the skipped windows
@@ -587,8 +590,10 @@ fn run_worker<O: Observer + 'static>(
     let steal = shared.cfg.steal;
     let mut stats = RebalanceStats::default();
     let mut horizon = SimTime::ZERO + shared.cfg.epoch;
-    // Whether the current window was elided (see `Plan::elided`).
+    // Whether the current window was elided (see `Plan::elided`), and
+    // whether this shard had already run dry when it began.
     let mut elided = false;
+    let mut dry_at_start = false;
     let mut round: u64 = 0;
     // The round this shard last posted a steal request in. Its victim
     // answers in the next round, so it may post again in the one after.
@@ -653,11 +658,12 @@ fn run_worker<O: Observer + 'static>(
         // Run the window: every scheduling point strictly below the
         // horizon, no cross-shard interaction.
         let next_point = engine.run_window(horizon);
-        // Elision skips only boundaries at which every shard was still
-        // busy: a shard that ends an elided window idle ran dry after the
-        // window's last skipped boundary.
+        // Elision skips only boundaries at which every shard that had not
+        // run dry before the window was still busy: such a shard that ends
+        // an elided window idle ran dry after its last skipped boundary.
         debug_assert!(
             !elided
+                || dry_at_start
                 || engine.idle_servers() == 0
                 || engine.last_completion() >= horizon - shared.cfg.epoch,
             "shard {s} ran dry at {}, before a boundary the window up to {horizon} elided",
@@ -797,6 +803,7 @@ fn run_worker<O: Observer + 'static>(
         }
         horizon = plan.next_boundary;
         elided = plan.elided;
+        dry_at_start = load == 0;
         round += 1;
     }
 
@@ -878,8 +885,16 @@ fn plan_boundary(
         || reports
             .iter()
             .any(|r| r.request.is_some() || r.answered > 0);
+    // Without stealing, a shard that has run dry (no load, an `idle_at`)
+    // decides nothing until the run ends: elision needs every calendar
+    // empty, so no migration can reach it, and it never steals.
     let min_point = reports.iter().filter_map(|r| r.next_point).min();
-    let dry = reports.iter().map(|r| r.idle_at).min().flatten();
+    let dry = reports
+        .iter()
+        .filter(|r| shared.cfg.steal || r.load > 0 || r.idle_at.is_none())
+        .map(|r| r.idle_at)
+        .min()
+        .flatten();
     let (next_boundary, stalled, elided) = match min_point {
         _ if traffic => (boundary + epoch, false, false),
         None => (boundary + epoch, true, false),
@@ -1378,6 +1393,32 @@ mod tests {
                 assert_eq!(shard.result.stats, stats, "{tag}");
                 assert_eq!(shard.result.epochs, epochs, "{tag}");
             }
+        }
+    }
+
+    #[test]
+    fn migrate_only_drain_skips_the_dry_shards() {
+        // Migrate-only, the drain of `drain_steal_specs` is elided past
+        // shard 0 running dry at 20 and shard 1 at 24, on to the done round
+        // after shard 2's last completion at 40. Were the dry shards' stale
+        // `idle_at` kept in the elision minimum, it would take 9 barriers.
+        use asets_core::policy::{ActivationMode, ImpactRule, PolicyKind};
+        let kinds = [
+            PolicyKind::BalanceAware {
+                impact: ImpactRule::Paper,
+                activation: ActivationMode::time_rate(0.1),
+            },
+            PolicyKind::Edf,
+            PolicyKind::asets_star(),
+        ];
+        for kind in kinds {
+            let r = ShardedRuntime::new(drain_steal_specs(), kind)
+                .shards(3)
+                .rebalance(RebalanceConfig::migrate_every(units(1)))
+                .run()
+                .unwrap();
+            assert_eq!(r.merged.stats.completed, 36, "{kind:?}");
+            assert_eq!(r.rebalance.unwrap().barriers, 7, "{kind:?}");
         }
     }
 
