@@ -75,7 +75,7 @@ impl Tap {
     /// run against its per-event replay.
     ///
     /// Migration *granularity* is the one documented divergence between
-    /// the two (`refresh_into` in `asets_star.rs`): the coalesced pass
+    /// the two (`AsetsStar::on_batch` in `asets_star.rs`): the coalesced pass
     /// refreshes each touched workflow once per epoch and reports the
     /// *net* EDF↔HDF crossing, while the per-event replay narrates every
     /// intermediate step — a workflow that leaves the lists and re-enters
